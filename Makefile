@@ -55,17 +55,19 @@ golden:
 
 # bench regenerates the performance snapshot (BENCH_OUT) in the
 # BENCH_pr<N>.json schema via cmd/coaxial-bench: per-step benchmarks at a
-# fixed iteration count, experiment-window benchmarks repeated so the
-# fastest (least noise-polluted) run is recorded. Override BENCH_PR /
-# BENCH_NOTE / BENCH_OUT when cutting a new snapshot; keep the note honest
-# about what changed and how the numbers were taken.
-BENCH_PR   ?= 10
-BENCH_OUT  ?= BENCH_pr10.json
-BENCH_BASE ?= BENCH_pr7.json
+# fixed iteration count, experiment-window and warm capture/restore
+# benchmarks repeated so the fastest (least noise-polluted) run is
+# recorded. Override BENCH_PR / BENCH_NOTE / BENCH_OUT when cutting a new
+# snapshot; keep the note honest about what changed and how the numbers
+# were taken.
+BENCH_PR   ?= 13
+BENCH_OUT  ?= BENCH_pr13.json
+BENCH_BASE ?= BENCH_pr10.json
 BENCH_NOTE ?= regenerated locally; see the checked-in snapshot for the PR-cut note
 bench:
 	@( $(GO) test -run '^$$' -bench 'BenchmarkSystemStep(Idle|Loaded)$$' -benchtime 2000000x -benchmem . ; \
-	   $(GO) test -run '^$$' -bench 'BenchmarkRunWindow$$|BenchmarkRunWindowLoaded$$|BenchmarkRunWindowLoadedSampled$$|BenchmarkRunWindowPooled$$|BenchmarkRunWindowRack$$' -benchtime 15x -count 2 -benchmem . ) \
+	   $(GO) test -run '^$$' -bench 'BenchmarkRunWindow$$|BenchmarkRunWindowLoaded$$|BenchmarkRunWindowLoadedSampled$$|BenchmarkRunWindowPooled$$|BenchmarkRunWindowRack$$' -benchtime 15x -count 2 -benchmem . ; \
+	   $(GO) test -run '^$$' -bench 'BenchmarkCaptureWarm$$|BenchmarkWarmRestore$$' -benchtime 20x -count 3 -benchmem . ) \
 	 | tee /dev/stderr \
 	 | $(GO) run ./cmd/coaxial-bench -pr $(BENCH_PR) -baseline $(BENCH_BASE) -note '$(BENCH_NOTE)' > $(BENCH_OUT)
 	@echo wrote $(BENCH_OUT)
@@ -73,9 +75,11 @@ bench:
 # perf-smoke is CI's hot-path regression tripwire: the loaded-window
 # benchmark at reduced iterations must stay within 2x of the checked-in
 # snapshot, in both time and (via -benchmem) allocations per op.
-# Deliberately loose so scheduler noise does not flake the build.
+# Deliberately loose so scheduler noise does not flake the build. The
+# reference stays BENCH_pr10.json: BENCH_pr13.json was cut on a slower
+# host, and checking against it would loosen the gate.
 perf-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunWindowLoaded$$' -benchtime 3x -count 2 -benchmem . \
-	 | $(GO) run ./cmd/coaxial-bench -check $(BENCH_OUT) -factor 2 -alloc-factor 2
+	 | $(GO) run ./cmd/coaxial-bench -check BENCH_pr10.json -factor 2 -alloc-factor 2
 
 check: vet lint build test

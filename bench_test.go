@@ -320,3 +320,63 @@ func BenchmarkEndToEndRun(b *testing.B) {
 		}
 	}
 }
+
+// warmBenchCase is one warm-capture benchmark point.
+type warmBenchCase struct {
+	name string
+	cfg  Config
+	wl   []Workload
+}
+
+// warmBenchCases are the warm-capture benchmark points: a 1-core point on
+// the 12-slice DDR baseline (the sweep's fresh-point shape, where the LLC
+// pre-fill dominates) and the loaded 12-core Coaxial4x mix. The functional
+// warmup matches the benchmark windows of benchRunWindowWarm.
+func warmBenchCases() []warmBenchCase {
+	canneal, _ := WorkloadByName("canneal")
+	return []warmBenchCase{
+		{"ddr-baseline-1c/canneal", Baseline().WithActiveCores(1), []Workload{canneal}},
+		{"coaxial-4x/mix3", Coaxial4x(), MixWorkloads(3, 12)},
+	}
+}
+
+var warmBenchRC = RunConfig{FunctionalWarmupInstr: 100_000, WarmupInstr: 5_000, MeasureInstr: 60_000, Seed: 1}
+
+// BenchmarkCaptureWarm measures one untimed warmup capture (system
+// construction, LLC pre-fill, functional warmup): the cost of every sweep
+// point with a fresh warm key.
+func BenchmarkCaptureWarm(b *testing.B) {
+	for _, tc := range warmBenchCases() {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok, err := sim.CaptureWarm(tc.cfg, tc.wl, warmBenchRC); err != nil || !ok {
+					b.Fatalf("capture: ok=%v err=%v", ok, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWarmRestore measures rebuilding a ready-to-measure system from
+// a warm snapshot: the per-point setup every warm hit pays. Run it with
+// -benchmem; B/op is dominated by the cloned cache metadata.
+func BenchmarkWarmRestore(b *testing.B) {
+	for _, tc := range warmBenchCases() {
+		b.Run(tc.name, func(b *testing.B) {
+			ws, ok, err := sim.CaptureWarm(tc.cfg, tc.wl, warmBenchRC)
+			if err != nil || !ok {
+				b.Fatalf("capture: ok=%v err=%v", ok, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys, err := sim.NewWarmSystem(tc.cfg, ws, warmBenchRC, sim.HostParams{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys.Close()
+			}
+		})
+	}
+}

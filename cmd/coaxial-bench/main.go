@@ -13,10 +13,11 @@
 //	go test -run '^$' -bench 'BenchmarkRunWindowLoaded$' -benchtime 3x . |
 //	    coaxial-bench -check BENCH_pr6.json -factor 2
 //
-// When the bench run used -benchmem, allocs/op is recorded in the
-// snapshot (allocs_per_op) and the check mode additionally fails on more
-// than -alloc-factor growth in allocations per op — the cheap CI proxy
-// for the zero-alloc hot-path discipline alloccheck enforces statically.
+// When the bench run used -benchmem, allocs/op and B/op are recorded in
+// the snapshot (allocs_per_op, bytes_per_op) and the check mode
+// additionally fails on more than -alloc-factor growth in allocations per
+// op — the cheap CI proxy for the zero-alloc hot-path discipline
+// alloccheck enforces statically.
 package main
 
 import (
@@ -34,47 +35,59 @@ import (
 // benchLine matches a testing benchmark result row, with the optional
 // -benchmem columns:
 // BenchmarkName/sub-8  5  248123456 ns/op  [1024 B/op  12 allocs/op]
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ B/op\s+([0-9]+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9]+) allocs/op)?`)
+
+// benchMetrics are the per-benchmark figures parseBench collects.
+type benchMetrics struct {
+	ns, allocs, bytes map[string]float64
+}
 
 // parseBench reads `go test -bench` output, returning ns/op per benchmark
 // name (GOMAXPROCS suffix stripped) and, when the run used -benchmem,
-// allocs/op. Repeated names (-count > 1) keep the minimum of each metric
-// independently: the fastest run is the least noise-polluted time
-// estimate, and the smallest allocation count is the steady-state floor
-// (warm-up runs can only allocate more).
-func parseBench(f *os.File) (map[string]float64, map[string]float64, error) {
+// allocs/op and B/op. Repeated names (-count > 1) keep the minimum of
+// each metric independently: the fastest run is the least noise-polluted
+// time estimate, and the smallest allocation figures are the steady-state
+// floor (warm-up runs can only allocate more).
+func parseBench(f *os.File) (benchMetrics, error) {
 	out := make(map[string]float64)
 	allocs := make(map[string]float64)
+	bytes := make(map[string]float64)
+	keepMin := func(m map[string]float64, name, field, line string) error {
+		v, err := strconv.ParseFloat(field, 64)
+		if err != nil {
+			return fmt.Errorf("bad figure %q in %q: %w", field, line, err)
+		}
+		if prev, ok := m[name]; !ok || v < prev {
+			m[name] = v
+		}
+		return nil
+	}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		line := sc.Text()
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
-		}
-		if prev, ok := out[m[1]]; !ok || v < prev {
-			out[m[1]] = v
+		if err := keepMin(out, m[1], m[2], line); err != nil {
+			return benchMetrics{}, err
 		}
 		if m[3] != "" {
-			a, err := strconv.ParseFloat(m[3], 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bad allocs/op in %q: %w", sc.Text(), err)
+			if err := keepMin(bytes, m[1], m[3], line); err != nil {
+				return benchMetrics{}, err
 			}
-			if prev, ok := allocs[m[1]]; !ok || a < prev {
-				allocs[m[1]] = a
+			if err := keepMin(allocs, m[1], m[4], line); err != nil {
+				return benchMetrics{}, err
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, err
+		return benchMetrics{}, err
 	}
 	if len(out) == 0 {
-		return nil, nil, fmt.Errorf("no benchmark results on stdin")
+		return benchMetrics{}, fmt.Errorf("no benchmark results on stdin")
 	}
-	return out, allocs, nil
+	return benchMetrics{ns: out, allocs: allocs, bytes: bytes}, nil
 }
 
 // snapshot is the subset of the BENCH_pr<N>.json schema both modes need.
@@ -109,10 +122,11 @@ func main() {
 	)
 	flag.Parse()
 
-	cur, curAllocs, err := parseBench(os.Stdin)
+	bm, err := parseBench(os.Stdin)
 	if err != nil {
 		fail(err)
 	}
+	cur, curAllocs := bm.ns, bm.allocs
 
 	if *check != "" {
 		snap, err := readSnapshot(*check)
@@ -168,6 +182,7 @@ func main() {
 	}
 	if len(curAllocs) > 0 {
 		doc["allocs_per_op"] = curAllocs
+		doc["bytes_per_op"] = bm.bytes
 	}
 	if *baseline != "" {
 		snap, err := readSnapshot(*baseline)

@@ -164,59 +164,84 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 	la := addr >> memreq.LineShift
 	base := c.setBase(la)
 	tags := c.tags[base : base+c.cfg.Assoc]
-	want := la<<tagShift | tagValid
+	stamps := c.stamps[base : base+len(tags)]
+	t := tagWord(la, dirty)
 	c.stats.Fills++
-
-	// Tag pass: refresh if already present (e.g. a racing fill), otherwise
-	// remember the first invalid way. The stamp array is only consulted when
-	// every way is valid and a victim must be chosen.
-	inv := -1
-	for i := range tags {
-		t := tags[i]
-		if t&^tagDirty == want {
-			c.clock++
-			c.stamps[base+i] = c.clock
-			if dirty {
-				tags[i] |= tagDirty
-			}
-			return Victim{}
-		}
-		if t&tagValid == 0 && inv < 0 {
-			inv = i
-		}
+	c.clock++
+	// Refresh if already present (e.g. a racing fill), otherwise take the
+	// first invalid way. The stamp array is only consulted when every way
+	// is valid and a victim must be chosen.
+	if i := match(tags, t); i >= 0 {
+		stamps[i] = c.clock
+		tags[i] |= t
+		return Victim{}
 	}
 	var out Victim
-	vi := inv
-	if vi < 0 {
-		// Full set: evict the LRU way (first way with the minimal stamp).
-		stamps := c.stamps[base : base+c.cfg.Assoc]
-		vi = 0
-		oldest := stamps[0]
-		for i := 1; i < len(stamps); i++ {
-			if stamps[i] < oldest {
-				oldest = stamps[i]
-				vi = i
-			}
-		}
-		out = Victim{
-			Addr:  tags[vi] >> tagShift << memreq.LineShift,
-			Dirty: tags[vi]&tagDirty != 0,
-			Valid: true,
-		}
-		if out.Dirty {
-			c.stats.DirtyEvict++
-		} else {
-			c.stats.CleanEvict++
-		}
+	vi := firstFree(tags, 0)
+	if vi == len(tags) {
+		vi, out = c.evict(tags, stamps)
 	}
-	c.clock++
-	t := want
+	tags[vi] = t
+	stamps[vi] = c.clock
+	return out
+}
+
+// tagWord is the tags-array word of a valid line la with the given dirty
+// bit.
+func tagWord(la uint64, dirty bool) uint64 {
+	t := la<<tagShift | tagValid
 	if dirty {
 		t |= tagDirty
 	}
-	tags[vi] = t
-	c.stamps[base+vi] = c.clock
-	return out
+	return t
+}
+
+// match returns the way holding tag word t's line (ignoring the dirty
+// bit), or -1.
+func match(tags []uint64, t uint64) int {
+	want := t &^ tagDirty
+	for i, old := range tags {
+		if old&^tagDirty == want {
+			return i
+		}
+	}
+	return -1
+}
+
+// firstFree returns the first invalid way at or after from, or len(tags).
+func firstFree(tags []uint64, from int) int {
+	for from < len(tags) && tags[from] != 0 { // invalid ways are stored as 0
+		from++
+	}
+	return from
+}
+
+// evict chooses a full set's LRU way and returns it with the line it
+// displaces, counting the eviction.
+func (c *Cache) evict(tags []uint64, stamps []uint32) (int, Victim) {
+	vi := lruWay(stamps)
+	out := Victim{
+		Addr:  tags[vi] >> tagShift << memreq.LineShift,
+		Dirty: tags[vi]&tagDirty != 0,
+		Valid: true,
+	}
+	if out.Dirty {
+		c.stats.DirtyEvict++
+	} else {
+		c.stats.CleanEvict++
+	}
+	return vi, out
+}
+
+// lruWay returns the first way with the minimal stamp. Packing each way as
+// stamp<<32 | way makes that a branch-free integer min: the stamp decides,
+// and among equal stamps the lower way index wins.
+func lruWay(stamps []uint32) int {
+	m := uint64(stamps[0]) << 32
+	for i := 1; i < len(stamps); i++ {
+		m = min(m, uint64(stamps[i])<<32|uint64(i))
+	}
+	return int(uint32(m))
 }
 
 // Touch reads addr's set without mutating anything, one word per 64 bytes

@@ -241,3 +241,179 @@ func TestSetIsolation(t *testing.T) {
 		t.Error("cross-set eviction")
 	}
 }
+
+// BenchmarkLLCPrefill measures a capacity pre-fill of a 12-slice, 24 MB
+// LLC (1.3 fills per line, 30% dirty) through the bucketed bulk path.
+func BenchmarkLLCPrefill(b *testing.B) {
+	const fills = 511_000
+	each := func(fill func(addr uint64, dirty bool)) {
+		rng := uint64(1)
+		for k := 0; k < fills; k++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			fill(1<<40+(rng%(1<<22))*memreq.LineSize, rng>>60 < 5)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewLLC(12, 2<<20, 16, 20).Prefill(each)
+	}
+}
+
+// refFill is Fill as it was before the shared install path and the packed
+// LRU min: one tag pass remembering the first invalid way, then a
+// branching scan for the first way with the minimal stamp. Tests use it
+// as the reference the production Fill must reproduce bit for bit.
+func refFill(c *Cache, addr uint64, dirty bool) Victim {
+	la := addr >> memreq.LineShift
+	base := c.setBase(la)
+	tags := c.tags[base : base+c.cfg.Assoc]
+	want := la<<tagShift | tagValid
+	c.stats.Fills++
+	inv := -1
+	for i := range tags {
+		t := tags[i]
+		if t&^tagDirty == want {
+			c.clock++
+			c.stamps[base+i] = c.clock
+			if dirty {
+				tags[i] |= tagDirty
+			}
+			return Victim{}
+		}
+		if t&tagValid == 0 && inv < 0 {
+			inv = i
+		}
+	}
+	var out Victim
+	vi := inv
+	if vi < 0 {
+		stamps := c.stamps[base : base+c.cfg.Assoc]
+		vi = 0
+		oldest := stamps[0]
+		for i := 1; i < len(stamps); i++ {
+			if stamps[i] < oldest {
+				oldest = stamps[i]
+				vi = i
+			}
+		}
+		out = Victim{Addr: tags[vi] >> tagShift << memreq.LineShift, Dirty: tags[vi]&tagDirty != 0, Valid: true}
+		if out.Dirty {
+			c.stats.DirtyEvict++
+		} else {
+			c.stats.CleanEvict++
+		}
+	}
+	c.clock++
+	t := want
+	if dirty {
+		t |= tagDirty
+	}
+	tags[vi] = t
+	c.stamps[base+vi] = c.clock
+	return out
+}
+
+// TestLRUWayMatchesScan checks the packed branch-free LRU min against the
+// branching first-minimum scan, on stamp vectors dense with ties and
+// spanning the whole uint32 range.
+func TestLRUWayMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20_000; trial++ {
+		stamps := make([]uint32, 1+rng.Intn(32))
+		span := uint32(1 + rng.Intn(4))
+		for i := range stamps {
+			switch rng.Intn(3) {
+			case 0:
+				stamps[i] = uint32(rng.Intn(int(span)))
+			case 1:
+				stamps[i] = ^uint32(0) - uint32(rng.Intn(int(span)))
+			default:
+				stamps[i] = rng.Uint32()
+			}
+		}
+		want := 0
+		for i := 1; i < len(stamps); i++ {
+			if stamps[i] < stamps[want] {
+				want = i
+			}
+		}
+		if got := lruWay(stamps); got != want {
+			t.Fatalf("stamps %v: lruWay %d, scan %d", stamps, got, want)
+		}
+	}
+}
+
+// TestFillMatchesReference drives the production Fill and refFill through
+// the same random Lookup/Fill/Invalidate streams, with the LRU clock
+// started just below its wrap so stamps tie and overflow, and requires
+// identical victims and identical final state.
+func TestFillMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := New(Config{SizeBytes: 8 * 64 * 4, Assoc: 4, LatencyCycles: 1}) // 8 sets x 4 ways
+		a.clock = ^uint32(0) - uint32(rng.Intn(400))
+		b := a.Clone()
+		for op := 0; op < 2_000; op++ {
+			addr := uint64(rng.Intn(96)) * memreq.LineSize
+			dirty := rng.Intn(3) == 0
+			switch rng.Intn(4) {
+			case 0:
+				if a.Lookup(addr, dirty) != b.Lookup(addr, dirty) {
+					t.Fatalf("seed %d op %d: lookups differ", seed, op)
+				}
+			case 1:
+				a.Invalidate(addr)
+				b.Invalidate(addr)
+			default:
+				if va, vb := a.Fill(addr, dirty), refFill(b, addr, dirty); va != vb {
+					t.Fatalf("seed %d op %d: victim %+v, reference %+v", seed, op, va, vb)
+				}
+			}
+		}
+		if d := a.debugDiff(b); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
+		}
+	}
+}
+
+// TestLLCPrefillMatchesDrawOrder checks the bucketed bulk fill against
+// per-fill LLC.Fill in draw order, on LLCs that already hold dirty lines
+// with invalidated holes, with many duplicate draws, and with slice
+// clocks close to wrapping.
+func TestLLCPrefillMatchesDrawOrder(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		slices := 1 + rng.Intn(5)
+		l := NewLLC(slices, 64<<10, 8, 20)
+		for i, s := range l.slices {
+			if i%2 == 1 {
+				s.clock = ^uint32(0) - uint32(rng.Intn(5_000))
+			}
+		}
+		lines := uint64(2_000 + rng.Intn(4_000))
+		for k := 0; k < 3_000; k++ {
+			l.Fill(uint64(rng.Int63n(int64(lines)))*memreq.LineSize, rng.Intn(2) == 0)
+		}
+		for k := 0; k < 400; k++ {
+			addr := uint64(rng.Int63n(int64(lines))) * memreq.LineSize
+			l.slices[l.SliceOf(addr)].Invalidate(addr)
+		}
+		draws := make([]uint64, 5_000+rng.Intn(10_000))
+		for k := range draws {
+			draws[k] = uint64(rng.Int63n(int64(lines)))<<1 | uint64(rng.Intn(2))
+		}
+		each := func(fill func(addr uint64, dirty bool)) {
+			for _, d := range draws {
+				fill(d>>1*memreq.LineSize, d&1 == 1)
+			}
+		}
+		ref := l.Clone()
+		each(func(addr uint64, dirty bool) { ref.Fill(addr, dirty) })
+		l.Prefill(each)
+		if d := l.DebugDiff(ref); d != "" {
+			t.Fatalf("seed %d (%d slices): %s", seed, slices, d)
+		}
+	}
+}

@@ -236,6 +236,23 @@ func (c *Core) Tick(now int64) {
 	c.dispatch(now)
 }
 
+// SyncTo brings a core that lags now up to it by accounting alone: the
+// stall counters advance through cycle now as Tick's catch-up would, but
+// nothing issues, retires or dispatches. The event-driven loop skipped the
+// core at those cycles because it was provably inert there, so this is
+// exactly what ticking it cycle by cycle would have done. Re-Ticking
+// instead would be wrong at the current cycle: its core phase is over,
+// and a fill delivered after it could let the core issue a cycle early.
+func (c *Core) SyncTo(now int64) {
+	if now <= c.lastTick {
+		return
+	}
+	if !c.frozen {
+		c.catchUp(now + 1)
+	}
+	c.lastTick = now
+}
+
 // catchUp applies the per-cycle effects of the inert cycles in
 // (lastTick, now) exactly as the cycle-by-cycle loop would have: MSHR-stall
 // counters advance for accesses that would have retried and stalled every

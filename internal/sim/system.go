@@ -273,7 +273,7 @@ func NewHostSystem(cfg Config, workloads []trace.Workload, seed uint64, hp HostP
 		gens[i] = trace.NewSynthetic(w.Params, base, seed*1_000_003+uint64(i)+1)
 		hints[i] = w.Params
 	}
-	return newSystemGens(cfg, gens, hints, hp)
+	return newSystemGens(cfg, gens, hints, hp, nil)
 }
 
 // NewSystemGens assembles a system over caller-provided instruction
@@ -282,10 +282,13 @@ func NewHostSystem(cfg Config, workloads []trace.Workload, seed uint64, hp HostP
 // cap; pass nil to skip pre-fill (then provide enough warmup in the trace
 // itself).
 func NewSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params) (*System, error) {
-	return newSystemGens(cfg, gens, hints, HostParams{})
+	return newSystemGens(cfg, gens, hints, HostParams{}, nil)
 }
 
-func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp HostParams) (*System, error) {
+// newSystemGens assembles the system. warm, when non-nil, supplies the
+// caches: the system is built around clones of the snapshot's, so a warm
+// restore never allocates caches it would throw away.
+func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp HostParams, warm *WarmState) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -310,7 +313,17 @@ func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp 
 		addrOffset: hp.AddrOffset,
 	}
 
-	s.llc = cache.NewLLC(cfg.Cores, cfg.LLCSliceBytes, cfg.LLCAssoc, cfg.LLCLatency)
+	// Private caches exist for active cores only: an inactive core never
+	// accesses memory.
+	if warm != nil {
+		s.l1, s.l2, s.llc = warm.cloneCaches()
+	} else {
+		s.llc = cache.NewLLC(cfg.Cores, cfg.LLCSliceBytes, cfg.LLCAssoc, cfg.LLCLatency)
+		for i := 0; i < active; i++ {
+			s.l1 = append(s.l1, cache.New(cfg.L1))
+			s.l2 = append(s.l2, cache.New(cfg.L2))
+		}
+	}
 
 	// Memory backends and their mesh-perimeter port placement.
 	systemSubs := cfg.Channels * cfg.DDR.SubChannels
@@ -337,8 +350,6 @@ func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp 
 
 	for i := 0; i < cfg.Cores; i++ {
 		s.coreTiles = append(s.coreTiles, cfg.Mesh.CoreTile(i))
-		s.l1 = append(s.l1, cache.New(cfg.L1))
-		s.l2 = append(s.l2, cache.New(cfg.L2))
 	}
 	for i := 0; i < active; i++ {
 		ipcCap := 0.0
@@ -643,7 +654,7 @@ func (s *System) drainCompletions() {
 	// Pre-touch the way metadata each buffered read fill is about to hit
 	// (LLC home set and the core's L2 set) so the misses on those
 	// multi-megabyte arrays overlap instead of serializing through the
-	// order-sensitive Complete calls below (same technique as prefillLLC).
+	// order-sensitive Complete calls below.
 	var sink uint64
 	for ch := range s.doneBuf {
 		for k := range s.doneBuf[ch] {
@@ -1000,19 +1011,19 @@ func (s *System) tickEventCycle(next int64) {
 // syncClock realizes every component's lagging bulk accounting at the
 // current cycle before counters are read or reset. Under event-driven
 // clocking a component's local clock may lag the system clock (it was
-// provably inert in between). Cores are re-Ticked: their Tick is idempotent
-// at an already-simulated cycle, a lagging core has no due work at s.now
-// (wakes always target s.now+1), and the tick runs the stall/token
-// catch-up the cycle-by-cycle loop would have accrued. Backends use Sync
-// rather than Tick: a lagging backend can hold work enqueued at s.now
-// *after* its tick-order slot this cycle (a write-back from a
-// later-ordered backend's completion), which the cycle-by-cycle loop only
-// processes at s.now+1 — re-Ticking would process it a cycle early. Sync
-// realizes the background integration (sub-channel ActiveBankCycles)
-// without simulating any events.
+// provably inert in between). Neither cores nor backends are re-Ticked,
+// because s.now's tick phases are over: a lagging core can have had an
+// MSHR freed by a fill in s.now's backend phase, and re-Ticking it would
+// issue a deferred access the cycle-by-cycle loop only issues at s.now+1
+// (into an event buffer nothing drains); a lagging backend can hold work
+// enqueued at s.now *after* its tick-order slot (a write-back from a
+// later-ordered backend's completion), likewise processed only at s.now+1.
+// Core.SyncTo applies the stall catch-up the cycle-by-cycle loop would
+// have accrued through s.now; backend Sync realizes the background
+// integration (sub-channel ActiveBankCycles). Neither simulates an event.
 func (s *System) syncClock() {
 	for _, c := range s.cores {
-		c.Tick(s.now)
+		c.SyncTo(s.now)
 	}
 	for _, b := range s.backends {
 		b.Sync(s.now)
@@ -1026,7 +1037,18 @@ func (s *System) syncClock() {
 // instructions for low-MPKI workloads (the LLC holds ~375k lines); the
 // paper's 50M-instruction warmup serves the same role. Without a full LLC
 // there are no evictions, hence no write-back traffic, in short windows.
+//
+// The fills hit random sets across megabytes of way metadata, so applied
+// one at a time in draw order they serialize on host-memory latency.
+// LLC.Prefill applies them in cache order instead, with the state the
+// draw-order loop would leave (DESIGN.md §7.6).
 func (s *System) prefillLLC(hints []trace.Params, seed uint64) {
+	s.llc.Prefill(s.prefillDraws(hints, seed))
+}
+
+// prefillDraws returns the pre-fill sequence: each call of the result
+// replays the same (address, dirty) draws, in draw order, into fill.
+func (s *System) prefillDraws(hints []trace.Params, seed uint64) func(fill func(addr uint64, dirty bool)) {
 	totalLines := 0
 	for i := 0; i < s.llc.Slices(); i++ {
 		totalLines += s.llc.Slice(i).Sets() * s.cfg.LLCAssoc
@@ -1046,51 +1068,31 @@ func (s *System) prefillLLC(hints []trace.Params, seed uint64) {
 		}
 		wsum += weights[i]
 	}
-	rng := seed*2654435761 + 0x9E3779B97F4A7C15
-	next := func() uint64 {
-		rng ^= rng >> 12
-		rng ^= rng << 25
-		rng ^= rng >> 27
-		return rng * 0x2545F4914F6CDD1D
-	}
-	// Overfill by 30% so set-conflict duplicates still leave sets full.
-	// The fills hit random sets across tens of megabytes of way metadata,
-	// so done one at a time they serialize on host-memory latency. Drawing
-	// a window of addresses and touching every target set first lets those
-	// misses overlap; the fills themselves still run in draw order, so the
-	// resulting LLC state is identical.
-	const batch = 64
-	var addrs [batch]uint64
-	var dirties [batch]bool
-	var sink uint64
-	for i, p := range hints {
-		base := s.addrOffset + (uint64(i)+1)<<40
-		wsLines := p.WSBytes / memreq.LineSize
-		if wsLines == 0 {
-			wsLines = 1
+	return func(fill func(addr uint64, dirty bool)) {
+		rng := seed*2654435761 + 0x9E3779B97F4A7C15
+		next := func() uint64 {
+			rng ^= rng >> 12
+			rng ^= rng << 25
+			rng ^= rng >> 27
+			return rng * 0x2545F4914F6CDD1D
 		}
-		n := int(float64(totalLines) * 1.3 * weights[i] / wsum)
-		for k := 0; k < n; k += batch {
-			m := batch
-			if n-k < m {
-				m = n - k
+		for i, p := range hints {
+			base := s.addrOffset + (uint64(i)+1)<<40
+			wsLines := p.WSBytes / memreq.LineSize
+			if wsLines == 0 {
+				wsLines = 1
 			}
-			for j := 0; j < m; j++ {
-				addrs[j] = base + (next()%wsLines)*memreq.LineSize
-				dirties[j] = float64(next()>>11)/(1<<53) < p.StoreFrac
-				sink += s.llc.Touch(addrs[j])
-			}
-			for j := 0; j < m; j++ {
-				s.llc.Fill(addrs[j], dirties[j])
+			// Overfill by 30% so set-conflict duplicates still leave sets
+			// full.
+			n := int(float64(totalLines) * 1.3 * weights[i] / wsum)
+			for k := 0; k < n; k++ {
+				addr := base + (next()%wsLines)*memreq.LineSize
+				dirty := float64(next()>>11)/(1<<53) < p.StoreFrac
+				fill(addr, dirty)
 			}
 		}
 	}
-	prefillTouchSink = sink
 }
-
-// prefillTouchSink keeps prefillLLC's set pre-touch loads observable so the
-// compiler cannot elide them.
-var prefillTouchSink uint64
 
 func minf(a, b float64) float64 {
 	if a < b {

@@ -169,7 +169,7 @@ func NewWarmSystem(cfg Config, ws *WarmState, rc RunConfig, hp HostParams) (*Sys
 	for i, g := range ws.gens {
 		gens[i] = g.(trace.Cloner).Clone()
 	}
-	sys, err := newSystemGens(cfg, gens, ws.hints, hp)
+	sys, err := newSystemGens(cfg, gens, ws.hints, hp, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -179,10 +179,17 @@ func NewWarmSystem(cfg Config, ws *WarmState, rc RunConfig, hp HostParams) (*Sys
 	if rc.Validate {
 		sys.EnableValidation()
 	}
-	for i := range sys.l1 {
-		sys.l1[i] = ws.l1[i].Clone()
-		sys.l2[i] = ws.l2[i].Clone()
-	}
-	sys.llc = ws.llc.Clone()
 	return sys, nil
+}
+
+// cloneCaches returns independent copies of the snapshot's caches: one
+// L1/L2 pair per active core and the LLC.
+func (ws *WarmState) cloneCaches() (l1, l2 []*cache.Cache, llc *cache.LLC) {
+	l1 = make([]*cache.Cache, len(ws.l1))
+	l2 = make([]*cache.Cache, len(ws.l2))
+	for i := range ws.l1 {
+		l1[i] = ws.l1[i].Clone()
+		l2[i] = ws.l2[i].Clone()
+	}
+	return l1, l2, ws.llc.Clone()
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"coaxial/internal/memreq"
 	"coaxial/internal/trace"
 )
 
@@ -44,6 +46,55 @@ func TestWarmStateBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// warmCacheBytes is the cache metadata a warm snapshot holds: 12 bytes
+// (an 8-byte tag word and a 4-byte LRU stamp) per line of every L1, L2 and
+// LLC slice it carries.
+func warmCacheBytes(cfg Config, ws *WarmState) uint64 {
+	lines := len(ws.l1)*cfg.L1.SizeBytes/memreq.LineSize + len(ws.l2)*cfg.L2.SizeBytes/memreq.LineSize
+	for i := 0; i < ws.llc.Slices(); i++ {
+		lines += ws.llc.Slice(i).Sets() * cfg.LLCAssoc
+	}
+	return uint64(lines) * 12
+}
+
+// TestWarmRestoreAllocations pins what a warm point costs to set up. A
+// 1-active-core system holds exactly one L1/L2 pair, and NewWarmSystem
+// allocates the snapshot's cache clones plus a fixed slack for the rest of
+// the system, far less than one more set of caches: the restore builds
+// the system around the clones instead of building caches to discard.
+func TestWarmRestoreAllocations(t *testing.T) {
+	w, err := trace.WorkloadByName("canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Baseline().WithActiveCores(1)
+	rc := RunConfig{FunctionalWarmupInstr: 20_000, WarmupInstr: 1_000, MeasureInstr: 2_000, Seed: 1}
+	ws, ok, err := CaptureWarm(cfg, []trace.Workload{w}, rc)
+	if err != nil || !ok {
+		t.Fatalf("capture: ok=%v err=%v", ok, err)
+	}
+	if len(ws.l1) != 1 || len(ws.l2) != 1 {
+		t.Errorf("snapshot holds %d L1 and %d L2 caches for 1 active core", len(ws.l1), len(ws.l2))
+	}
+	const slack = 256 << 10
+	limit := warmCacheBytes(cfg, ws) + slack
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	sys, err := NewWarmSystem(cfg, ws, rc, HostParams{})
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if len(sys.l1) != 1 || len(sys.l2) != 1 {
+		t.Errorf("restored system holds %d L1 and %d L2 caches for 1 active core", len(sys.l1), len(sys.l2))
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > limit {
+		t.Errorf("NewWarmSystem allocated %d bytes, want <= %d (cache metadata %d + slack %d)",
+			got, limit, limit-slack, slack)
 	}
 }
 

@@ -256,3 +256,46 @@ func TestRunSuiteRackJobs(t *testing.T) {
 		t.Errorf("rack summary row made no progress: %+v", results[1])
 	}
 }
+
+// TestValidatedWindowsAtLaggingCoreSeeds pins the window-end clock sync
+// under event clocking. These seeded windows end on a cycle where a core
+// the event loop skipped has an MSHR freed by a fill in that cycle's
+// backend phase. Re-ticking such a core at window end issued a deferred
+// access one cycle early, into an event buffer nothing drained, and the
+// lifecycle checker reported an MSHR accounting mismatch. The validated
+// windows must be clean and equal to the unvalidated ones.
+func TestValidatedWindowsAtLaggingCoreSeeds(t *testing.T) {
+	ctx := context.Background()
+	windows := coaxial.WithWindows(100_000, 5_000, 60_000)
+	t.Run("rack-pooled/seed22", func(t *testing.T) {
+		cfg := coaxial.TopologyCoaxialPooled(2).Rack
+		wls := [][]coaxial.Workload{coaxial.RackMixWorkloads(0, 12), coaxial.RackMixWorkloads(1, 12)}
+		r := coaxial.NewRunner(coaxial.WithSeed(22), windows)
+		plain, err := r.RunRack(ctx, cfg, wls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		validated, err := r.With(coaxial.WithValidation()).RunRack(ctx, cfg, wls)
+		if err != nil {
+			t.Fatalf("validated window: %v", err)
+		}
+		if !reflect.DeepEqual(plain, validated) {
+			t.Error("validation changed the rack result")
+		}
+	})
+	t.Run("loaded-mix8/seed406", func(t *testing.T) {
+		cfg, wl := coaxial.Coaxial4x(), coaxial.MixWorkloads(8, 12)
+		r := coaxial.NewRunner(coaxial.WithSeed(406), windows)
+		plain, err := r.RunMix(ctx, cfg, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		validated, err := r.With(coaxial.WithValidation()).RunMix(ctx, cfg, wl)
+		if err != nil {
+			t.Fatalf("validated window: %v", err)
+		}
+		if !reflect.DeepEqual(plain, validated) {
+			t.Error("validation changed the result")
+		}
+	})
+}

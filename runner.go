@@ -207,6 +207,12 @@ func (r *Runner) Run(ctx context.Context, cfg Config, w Workload) (Result, error
 
 // RunMix executes one experiment with per-core workloads (Fig. 6 mixes).
 func (r *Runner) RunMix(ctx context.Context, cfg Config, workloads []Workload) (Result, error) {
+	// Validate before the warm lookup: warm keys fingerprint only what the
+	// warmup depends on, so an invalid config can share a key with a valid
+	// one and must never reach the shared cache.
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	if !r.rc.SkipFunctional {
 		ws, ok, err := r.warmFor(cfg, workloads)
 		if err != nil {
@@ -271,7 +277,9 @@ func (r *Runner) warmFor(cfg Config, workloads []Workload) (*sim.WarmState, bool
 // warmForHost is warmFor for a host embedded in a topology: hrc carries
 // the host's derived seed and topology fingerprint (which key the cache),
 // hp its placement. The sync.Once collapses concurrent workers racing for
-// one key into a single capture.
+// one key into a single capture. A failed capture is returned to the
+// callers that waited on it but not memoized: its entry is dropped, so
+// the next run of the key captures afresh.
 func (r *Runner) warmForHost(cfg Config, workloads []Workload, hrc RunConfig, hp sim.HostParams) (*sim.WarmState, bool, error) {
 	key := sim.WarmKey(cfg, workloads, hrc)
 	c := r.warm
@@ -286,6 +294,9 @@ func (r *Runner) warmForHost(cfg Config, workloads []Workload, hrc RunConfig, hp
 		e.ws, e.ok, e.err = sim.CaptureWarmHost(cfg, workloads, hrc, hp)
 		c.mu.Lock()
 		c.captures++
+		if e.err != nil && c.entries[key] == e {
+			delete(c.entries, key)
+		}
 		c.mu.Unlock()
 	})
 	return e.ws, e.ok, e.err

@@ -95,6 +95,37 @@ func TestRunnerSuiteJoinsErrors(t *testing.T) {
 	}
 }
 
+// TestRunnerInvalidConfigDoesNotPoisonWarmCache runs a broken config and
+// then a valid one sharing its warm key on one Runner, in that order.
+// Warm keys fingerprint only the warmup's facets (the channel count is
+// not one), so the broken config must fail validation before the warm
+// lookup: a memoized capture error would fail the valid run too. A
+// capture that fails is not memoized either.
+func TestRunnerInvalidConfigDoesNotPoisonWarmCache(t *testing.T) {
+	w, err := coaxial.WorkloadByName("pop2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := coaxial.Coaxial4x()
+	bad.Channels = 0 // fails validation
+	r := coaxial.NewRunner(coaxial.WithWindows(10_000, 1_000, 4_000))
+	ctx := context.Background()
+	if _, err := r.Run(ctx, bad, w); err == nil {
+		t.Fatal("expected a validation error for the broken config")
+	}
+	if res, err := r.Run(ctx, coaxial.Coaxial4x(), w); err != nil || res.IPC <= 0 {
+		t.Fatalf("valid config after a broken one: ipc=%v err=%v", res.IPC, err)
+	}
+	// Too few workloads passes Config.Validate but fails the capture.
+	before := r.WarmStats().Entries
+	if _, err := r.RunMix(ctx, coaxial.Coaxial4x(), []coaxial.Workload{w}); err == nil {
+		t.Fatal("expected a capture error for a short workload list")
+	}
+	if got := r.WarmStats().Entries; got != before {
+		t.Errorf("failed capture memoized: %d warm entries, want %d", got, before)
+	}
+}
+
 // TestRunnerSuiteCancellation checks that a canceled context stops the
 // suite: every job reports the cancellation cause through the joined error.
 func TestRunnerSuiteCancellation(t *testing.T) {
