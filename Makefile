@@ -26,8 +26,8 @@ serve-test:
 	$(GO) test -race -count=1 ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestRunRackCancelReturnsPartialHosts' .
 
-# lint runs coaxlint (internal/lint): determinism, phase-isolation,
-# counter-hygiene, and observer-purity invariants, plus unitcheck's
+# lint runs coaxlint (internal/lint): determinism, counter-hygiene, and
+# observer-purity invariants, plus unitcheck's
 # flow-sensitive clock-domain/dimension analysis, lockcheck's lock-set
 # analysis, and handlecheck's arena-handle lifetime analysis
 # (DESIGN.md §6). Findings
@@ -60,9 +60,9 @@ golden:
 # recorded. Override BENCH_PR / BENCH_NOTE / BENCH_OUT when cutting a new
 # snapshot; keep the note honest about what changed and how the numbers
 # were taken.
-BENCH_PR   ?= 13
-BENCH_OUT  ?= BENCH_pr13.json
-BENCH_BASE ?= BENCH_pr10.json
+BENCH_PR   ?= 14
+BENCH_OUT  ?= BENCH_pr$(BENCH_PR).json
+BENCH_BASE ?= BENCH_pr13.json
 BENCH_NOTE ?= regenerated locally; see the checked-in snapshot for the PR-cut note
 bench:
 	@( $(GO) test -run '^$$' -bench 'BenchmarkSystemStep(Idle|Loaded)$$' -benchtime 2000000x -benchmem . ; \
@@ -72,14 +72,18 @@ bench:
 	 | $(GO) run ./cmd/coaxial-bench -pr $(BENCH_PR) -baseline $(BENCH_BASE) -note '$(BENCH_NOTE)' > $(BENCH_OUT)
 	@echo wrote $(BENCH_OUT)
 
-# perf-smoke is CI's hot-path regression tripwire: the loaded-window
-# benchmark at reduced iterations must stay within 2x of the checked-in
-# snapshot, in both time and (via -benchmem) allocations per op.
-# Deliberately loose so scheduler noise does not flake the build. The
-# reference stays BENCH_pr10.json: BENCH_pr13.json was cut on a slower
-# host, and checking against it would loosen the gate.
+# perf-smoke is CI's hot-path regression tripwire: the loaded-window and
+# 2-host rack-window benchmarks at reduced iterations must stay within 2x
+# of a checked-in snapshot, in both time and (via -benchmem) allocations
+# per op. Deliberately loose so scheduler noise does not flake the build.
+# The loaded reference stays BENCH_pr10.json: BENCH_pr13.json was cut on
+# a slower host, and checking against it would loosen the gate. The rack
+# reference is BENCH_pr14.json, the first snapshot with the rack window
+# on the sequential host phase.
 perf-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunWindowLoaded$$' -benchtime 3x -count 2 -benchmem . \
 	 | $(GO) run ./cmd/coaxial-bench -check BENCH_pr10.json -factor 2 -alloc-factor 2
+	$(GO) test -run '^$$' -bench 'BenchmarkRunWindowRack$$' -benchtime 3x -count 2 -benchmem . \
+	 | $(GO) run ./cmd/coaxial-bench -check BENCH_pr14.json -factor 2 -alloc-factor 2
 
 check: vet lint build test

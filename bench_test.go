@@ -272,8 +272,7 @@ func BenchmarkRunWindowPooled(b *testing.B) {
 
 // BenchmarkRunWindowRack measures the rack-scale experiment window: a
 // 2-host CXL-pooled rack (hosts contending for 2 shared pool devices)
-// running staggered mixed-MPKI rack workloads in lockstep, with the host
-// phase on 2 goroutines. Event-vs-cycle is reported for both modes so the
+// running staggered mixed-MPKI rack workloads in lockstep. Event-vs-cycle is reported for both modes so the
 // rack loop's dead-cycle profile is tracked alongside the single-host
 // windows. Windows run warm through a shared Runner (per-host snapshots
 // are memoized under topology-distinct warm keys).
@@ -289,7 +288,6 @@ func BenchmarkRunWindowRack(b *testing.B) {
 				WithSeed(1),
 				WithWindows(100_000, 5_000, 60_000),
 				WithClocking(mode.m),
-				WithRackParallelism(2),
 			)
 			ctx := context.Background()
 			// Prime the per-host warm snapshots outside the timed region.
@@ -371,11 +369,9 @@ func BenchmarkWarmRestore(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sys, err := sim.NewWarmSystem(tc.cfg, ws, warmBenchRC, sim.HostParams{})
-				if err != nil {
+				if _, err := sim.NewWarmSystem(tc.cfg, ws, warmBenchRC, sim.HostParams{}); err != nil {
 					b.Fatal(err)
 				}
-				sys.Close()
 			}
 		})
 	}

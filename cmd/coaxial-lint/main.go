@@ -1,6 +1,6 @@
 // Command coaxial-lint runs the coaxlint analyzer suite (internal/lint):
-// static enforcement of the simulator's determinism, phase-isolation,
-// counter-hygiene, and observer-purity invariants (DESIGN.md §6).
+// static enforcement of the simulator's determinism, counter-hygiene, and
+// observer-purity invariants (DESIGN.md §6).
 //
 // Standalone over package patterns (the usual way):
 //
@@ -11,8 +11,8 @@
 //	go build -o coaxial-lint ./cmd/coaxial-lint
 //	go vet -vettool=$PWD/coaxial-lint ./...
 //
-// In vettool mode the analyzers that need cross-package purity facts
-// (phaseiso, observers) run in a degraded mode — go vet type-checks one
+// In vettool mode the analyzer that needs cross-package purity facts
+// (observers) runs in a degraded mode — go vet type-checks one
 // package at a time from export data, so facts about other packages'
 // function bodies are unavailable and calls whose purity is unknown are
 // allowed rather than flagged. The standalone mode, which CI runs, loads

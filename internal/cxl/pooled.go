@@ -17,8 +17,8 @@ import (
 // Channel tick runs: (1) deliver due responses, (2) admit due ingress onto
 // the TX link, (3) retry device-stalled requests, (4) drain link arrivals
 // into the DDR controllers, (5) tick the DDR channels. A Port tick runs
-// steps 1–2 (host-side state only, so hosts tick in parallel race-free);
-// the device phase runs steps 3–5, visiting ports in fixed attach order.
+// steps 1–2 (host-side state only) in the rack's host phase; the device
+// phase runs steps 3–5, visiting ports in fixed attach order.
 // With a single port the interleaving of the two halves across channels is
 // immaterial — steps 1–2 never read device state, steps 3–5 never read
 // host-side state, and every cross-step handoff (a response scheduled in
@@ -258,12 +258,11 @@ func (d *PooledDevice) ddrEnqueue(r *memreq.Request, now int64) bool {
 // (memreq.Backend, counters, retired-write collection, validation walks),
 // so a sim.System embeds it exactly like any other memory backend.
 //
-// Concurrency contract: Enqueue, Tick, NextEvent, and the response
-// deliveries inside Tick touch only port-local state, so the owning host
-// may tick on its own goroutine during the parallel host phase. deviceQ,
-// stalled, outstanding, and stats are written by the device phase
-// (TickDevice) and by Enqueue/Tick — never concurrently, because the rack
-// driver separates the phases with barriers.
+// Phase contract: Enqueue, Tick, NextEvent, and the response deliveries
+// inside Tick touch only port-local state and run in the rack's host
+// phase. deviceQ, stalled, outstanding, and stats are also written by the
+// device phase (TickDevice), which the rack driver runs after every host
+// phase, so admission in cycle t sees the device phase of cycle t-1.
 type Port struct {
 	dev          *Device
 	host         int
@@ -293,8 +292,7 @@ type Port struct {
 
 	// outstanding counts requests admitted but not yet accepted by a DDR
 	// controller. Enqueue (host phase) increments; the device phase
-	// decrements. Never concurrently: admission decisions only read it in
-	// the host phase.
+	// decrements. Admission decisions only read it in the host phase.
 	outstanding int
 
 	collectRetired bool

@@ -98,7 +98,6 @@ func DefaultAllocConfig() AllocConfig {
 			"coaxial/internal/sim.System.tickEventCycle",
 			"coaxial/internal/sim.System.nextEventBound",
 			"coaxial/internal/sim.System.drainCoreEvents",
-			"coaxial/internal/sim.System.drainCompletions",
 			"coaxial/internal/sim.System.drainRetired",
 			"coaxial/internal/sim.System.Access",
 			"coaxial/internal/sim.System.Complete",

@@ -1,6 +1,6 @@
 // Package lint implements coaxlint: the static analyzers that enforce the
-// simulator's determinism, phase-isolation, counter-hygiene, and
-// observer-purity invariants (DESIGN.md §6). The analyzers are written
+// simulator's determinism, counter-hygiene, and observer-purity
+// invariants (DESIGN.md §6). The analyzers are written
 // against the miniature framework in internal/lint/analysis and are run by
 // cmd/coaxial-lint, both standalone and as a `go vet -vettool`.
 package lint

@@ -7,8 +7,8 @@ import (
 	"coaxial/internal/lint/loader"
 )
 
-// HotPathPackages are the packages the determinism and phase-isolation
-// analyzers guard: everything a simulated cycle executes. Reporting and CLI
+// HotPathPackages are the packages the determinism analyzer guards:
+// everything a simulated cycle executes. Reporting and CLI
 // code may read the wall clock; these packages may not.
 var HotPathPackages = []string{
 	"coaxial/internal/sim",
@@ -51,10 +51,6 @@ func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		NewPurity(),
 		NewDeterminism(HotPathPackages),
-		NewPhaseIsolation(HotPathPackages, []string{
-			"coaxial/internal/sim.workerPool.run",
-			"coaxial/internal/rack.workerPool.run",
-		}),
 		NewCounters(CounterConfig{
 			CounterTypes: []string{
 				"coaxial/internal/stats.Histogram",

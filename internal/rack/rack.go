@@ -5,27 +5,29 @@
 // arbitration, per-host fairness accounting, and head-of-line contention
 // all happen there.
 //
-// The rack advances all hosts in lockstep with the same phased-tick
-// deterministic-drain discipline that makes intra-system parallelism
-// bit-identical. One rack step to cycle `next`:
+// The rack advances all hosts in lockstep, one goroutine, in three
+// phases per step. One rack step to cycle `next`:
 //
 //	next    = min over hosts of NextEventBound(limit),
 //	          min over devices of NextEvent(now)      (event clocking)
 //	next    = now + 1                                 (cycle clocking)
-//	phase H — every host TickCycle(next); parallel across
-//	          RackParallelism goroutines (host-private state only:
-//	          a port's ingress/response heaps are host-side)
-//	phase D — every pooled device TickDevice(next); sequential, fixed
-//	          device order, each device serving its ports in fixed
-//	          attach order (= host order)
+//	phase H — every host TickCycle(next), in host order (host-private
+//	          state only: a port's ingress/response heaps are host-side)
+//	phase D — every pooled device TickDevice(next), in fixed device
+//	          order, each device serving its ports in fixed attach
+//	          order (= host order)
 //	phase E — per host, in host order: re-arm the host's cached backend
 //	          bounds with the port's fresh NextEvent (phase D only adds
 //	          events, so clamping down is sufficient) and release writes
 //	          that retired inside the devices
 //
-// Phases touch disjoint state, so results are bit-identical across
-// RackParallelism × clocking, and a 1-host rack reproduces the equivalent
-// single-System run exactly (TestRackClockingEquivalence).
+// Results are bit-identical across clocking modes, and a 1-host rack
+// reproduces the equivalent single-System run exactly
+// (TestRackClockingEquivalence).
+//
+// There is no lookahead between the phases: a port admits a request in
+// phase H against its outstanding count, which the previous cycle's phase
+// D decremented, so hosts and devices are coupled every cycle.
 package rack
 
 import (
@@ -182,7 +184,6 @@ func RunFrom(ctx context.Context, cfg Config, workloads [][]trace.Workload, rc s
 	if err != nil {
 		return Result{}, err
 	}
-	defer rk.close()
 	return rk.run(ctx, workloads, rc)
 }
 
@@ -192,7 +193,6 @@ type rack struct {
 	hosts    []*sim.System
 	ports    [][]*cxl.Port // per host, in channel order; nil when unpooled
 	devices  []*cxl.PooledDevice
-	pool     *workerPool
 	clocking sim.Clocking
 	validate bool
 	oracles  []*validate.Oracle
@@ -242,7 +242,6 @@ func build(cfg Config, workloads [][]trace.Workload, rc sim.RunConfig, warm []*s
 		if warm != nil && warm[h] != nil {
 			sys, err = sim.NewWarmSystem(hcfg, warm[h], hrc, hp)
 		} else if sys, err = sim.NewHostSystem(hcfg, workloads[h], hrc.Seed, hp); err == nil {
-			sys.SetParallelism(hrc.Parallelism)
 			sys.SetClocking(hrc.Clocking)
 			if hrc.Validate {
 				sys.EnableValidation()
@@ -250,14 +249,10 @@ func build(cfg Config, workloads [][]trace.Workload, rc sim.RunConfig, warm []*s
 			sys.Prewarm(hrc)
 		}
 		if err != nil {
-			rk.close()
 			return nil, fmt.Errorf("rack: %q host %d: %w", cfg.Name, h, err)
 		}
 		rk.hosts = append(rk.hosts, sys)
 		rk.ports = append(rk.ports, ports)
-	}
-	if rc.RackParallelism > 1 && len(rk.hosts) > 1 {
-		rk.pool = newWorkerPool(rc.RackParallelism - 1)
 	}
 	if rc.Validate {
 		rk.wireValidation()
@@ -299,16 +294,6 @@ func (rk *rack) wireValidation() {
 			}
 		})
 	}
-}
-
-// close releases every host's worker goroutines and the rack's own pool.
-func (rk *rack) close() {
-	for _, s := range rk.hosts {
-		if s != nil {
-			s.Close()
-		}
-	}
-	rk.pool.close()
 }
 
 // run executes the timed warmup and measure windows in lockstep, then
@@ -417,27 +402,20 @@ func (rk *rack) step(limit int64) {
 		}
 	}
 
-	// Phase H: hosts advance to `next`, each touching only host-private
-	// state (port ingress/response heaps are host-side). Parallel across
-	// the rack pool; bit-identical at any worker count because hosts
-	// share nothing within the phase.
-	if rk.pool != nil {
-		hosts := rk.hosts
-		rk.pool.run(len(hosts), func(i int) { hosts[i].TickCycle(next) })
-	} else {
-		for _, s := range rk.hosts {
-			s.TickCycle(next)
-		}
+	// Phase H: hosts advance to `next` in host order, each touching only
+	// host-private state (port ingress/response heaps are host-side).
+	for _, s := range rk.hosts {
+		s.TickCycle(next)
 	}
 
-	// Phase D: shared devices, sequential, fixed device order; each
+	// Phase D: shared devices, fixed device order; each
 	// serves its ports in fixed attach order (= host order) — the
 	// deterministic cross-host arbitration point.
 	for _, d := range rk.devices {
 		d.TickDevice(next)
 	}
 
-	// Phase E: sequential per host, in host order — re-arm each host's
+	// Phase E: per host, in host order — re-arm each host's
 	// cached backend bounds (phase D scheduled new response deliveries;
 	// wakes only clamp down, and phase D can only add events, so clamping
 	// is sufficient) and release writes that retired inside the devices.

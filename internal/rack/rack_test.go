@@ -84,29 +84,3 @@ func TestRackValidationClean(t *testing.T) {
 		t.Errorf("fairness index %v outside (0, 1]", rr.FairnessIndex)
 	}
 }
-
-// TestRackParallelTickRace exercises the rack worker pool under the race
-// detector: phase H must touch only host-private state.
-func TestRackParallelTickRace(t *testing.T) {
-	rc := testRC()
-	rc.RackParallelism = 4
-	rc.Parallelism = 2
-	wls := make([][]trace.Workload, 4)
-	for h := range wls {
-		wls[h] = trace.RackMix(h, 12)
-	}
-	seqRC := rc
-	seqRC.RackParallelism = 1
-	seqRC.Parallelism = 1
-	par, err := Run(context.Background(), pooledRack(4), wls, rc)
-	if err != nil {
-		t.Fatalf("parallel rack run: %v", err)
-	}
-	seq, err := Run(context.Background(), pooledRack(4), wls, seqRC)
-	if err != nil {
-		t.Fatalf("sequential rack run: %v", err)
-	}
-	if !reflect.DeepEqual(par, seq) {
-		t.Errorf("rack results diverge across RackParallelism/Parallelism:\npar: %+v\nseq: %+v", par, seq)
-	}
-}

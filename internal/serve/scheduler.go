@@ -40,8 +40,7 @@ func (s *Server) Submit(req JobRequest) (string, error) {
 }
 
 // worker is one pool goroutine: it drains the queue until Shutdown closes
-// it. Named method, so the phaseiso checker sees a spawner, not an
-// anonymous goroutine mutating shared state.
+// it.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {

@@ -570,6 +570,10 @@ func TestServeEndpointEdges(t *testing.T) {
 		strings.NewReader(`{"kind":"run","preset":"nope","workload":"gcc"}`)); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown preset: %d, want 400", resp.StatusCode)
 	}
+	if resp, _ := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"kind":"run","preset":"coaxial-4x","workload":"gcc","parallelism":2}`)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("removed parallelism field: %d, want 400", resp.StatusCode)
+	}
 
 	resp, err := http.Get(ts.URL + "/v1/presets")
 	if err != nil {

@@ -12,7 +12,7 @@
 // (cycles, retired instructions, the usual Result metrics) — the wall
 // clock appears exclusively in job *metadata* timestamps, supplied by an
 // injected Clock, so the httptest suite is deterministic and the package
-// sits inside coaxlint's determinism/phaseiso scope. All job-store
+// sits inside coaxlint's determinism scope. All job-store
 // mutations happen under the store lock; the -race suite is the proof.
 //
 // The wire schema is documented in testdata/serve/README.md (next to the
@@ -38,8 +38,6 @@ const (
 	MaxPoints = 64
 	// MaxInstr bounds each simulation window (per core, instructions).
 	MaxInstr = 200_000_000
-	// MaxParallelism bounds the requested tick-phase worker counts.
-	MaxParallelism = 64
 	// maxRequestBytes bounds the request body read by DecodeJobRequest.
 	maxRequestBytes = 1 << 20
 )
@@ -70,10 +68,8 @@ type JobRequest struct {
 	Windows *Windows `json:"windows,omitempty"`
 	Sample  *Sample  `json:"sample,omitempty"`
 
-	Clocking        string `json:"clocking,omitempty"`
-	Parallelism     int    `json:"parallelism,omitempty"`
-	RackParallelism int    `json:"rack_parallelism,omitempty"`
-	Validate        bool   `json:"validate,omitempty"`
+	Clocking string `json:"clocking,omitempty"`
+	Validate bool   `json:"validate,omitempty"`
 }
 
 // Windows overrides the default simulation windows (per core,
@@ -276,12 +272,6 @@ func (q JobRequest) runConfig() (coaxial.RunConfig, error) {
 	default:
 		return rc, badRequestf("unknown clocking %q (want event or cycle)", q.Clocking)
 	}
-	if q.Parallelism < 0 || q.Parallelism > MaxParallelism ||
-		q.RackParallelism < 0 || q.RackParallelism > MaxParallelism {
-		return rc, badRequestf("parallelism out of range [0, %d]", MaxParallelism)
-	}
-	rc.Parallelism = q.Parallelism
-	rc.RackParallelism = q.RackParallelism
 	rc.Validate = q.Validate
 	return rc, nil
 }

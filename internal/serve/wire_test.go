@@ -12,13 +12,20 @@ import (
 func TestDecodeJobRequestRejects(t *testing.T) {
 	cases := []struct {
 		name, body string
+		want       string // substring the error must carry; "" for any
 	}{
-		{"malformed", `{`},
-		{"unknown field", `{"kind":"run","presett":"coaxial-4x"}`},
-		{"trailing data", `{"kind":"run"} {"kind":"run"}`},
-		{"negative window", `{"kind":"run","windows":{"measure":-5}}`},
-		{"negative seed", `{"kind":"run","seed":-1}`},
-		{"wrong type", `{"kind":["run"]}`},
+		{"malformed", `{`, ""},
+		{"unknown field", `{"kind":"run","presett":"coaxial-4x"}`, `unknown field "presett"`},
+		// parallelism and rack_parallelism were wire fields once; a client
+		// still sending them must hear that they no longer do anything.
+		{"removed parallelism field", `{"kind":"run","preset":"coaxial-4x","workload":"gcc","parallelism":2}`,
+			`unknown field "parallelism"`},
+		{"removed rack_parallelism field", `{"kind":"rack","preset":"coaxial-pooled","workload":"gcc","hosts":2,"rack_parallelism":2}`,
+			`unknown field "rack_parallelism"`},
+		{"trailing data", `{"kind":"run"} {"kind":"run"}`, ""},
+		{"negative window", `{"kind":"run","windows":{"measure":-5}}`, ""},
+		{"negative seed", `{"kind":"run","seed":-1}`, ""},
+		{"wrong type", `{"kind":["run"]}`, ""},
 	}
 	for _, tc := range cases {
 		_, err := DecodeJobRequest(strings.NewReader(tc.body))
@@ -28,6 +35,9 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		}
 		if !IsRequestError(err) {
 			t.Errorf("%s: error is not a RequestError: %v", tc.name, err)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -58,7 +68,6 @@ func TestJobRequestPointsRejects(t *testing.T) {
 		{"half sample", JobRequest{Kind: "run", Preset: "coaxial-4x", Workload: "gcc",
 			Sample: &Sample{Detail: 100}, Windows: w}},
 		{"bad clocking", JobRequest{Kind: "run", Preset: "coaxial-4x", Workload: "gcc", Clocking: "warp", Windows: w}},
-		{"negative parallelism", JobRequest{Kind: "run", Preset: "coaxial-4x", Workload: "gcc", Parallelism: -1, Windows: w}},
 		{"too many points", JobRequest{Kind: "sweep",
 			Presets:   []string{"ddr-baseline", "coaxial-2x", "coaxial-4x", "coaxial-5x", "coaxial-asym"},
 			Workloads: coaxial.WorkloadNames()[:13], Windows: w}},

@@ -8,7 +8,7 @@ import (
 // This file is the external driver surface of a System: the handles a
 // multi-host topology (internal/rack) needs to run hosts in lockstep under
 // its own phased loop instead of System's private runPhase. The methods
-// re-expose existing sequential-phase internals unchanged, so a driver
+// re-expose existing phase internals unchanged, so a driver
 // composing them in the documented order reproduces runPhase bit-exactly
 // (the 1-host leg of TestRackClockingEquivalence pins this).
 //
@@ -17,18 +17,18 @@ import (
 //	next := min over hosts of NextEventBound(limit),
 //	        min over pooled devices of NextEvent(now)   (event mode)
 //	next := now + 1                                     (cycle mode)
-//	phase H: every host TickCycle(next)        — parallelizable per host
-//	phase D: every pooled device TickDevice(next) — sequential, fixed order
+//	phase H: every host TickCycle(next)           — host order
+//	phase D: every pooled device TickDevice(next) — device order
 //	phase E: per host, in host order:
 //	         WakeBackendAt(ch, port.NextEvent(next)) for every port channel
 //	         DrainRetiredNow()
 //
 // Phase H touches only host-private state (port ingress/response heaps are
-// host-side), phase D only device state, so the phases need no finer
-// locking; phase E re-arms each host's cached backend bounds after the
-// device phase scheduled new response deliveries (wakes only clamp down,
-// and phase D can only add events, so clamping is sufficient) and releases
-// writes that retired inside the devices.
+// host-side) and phase D only device state; phase E re-arms each host's
+// cached backend bounds after the device phase scheduled new response
+// deliveries (wakes only clamp down, and phase D can only add events, so
+// clamping is sufficient) and releases writes that retired inside the
+// devices.
 
 // Now returns the host's current cycle.
 func (s *System) Now() int64 { return s.now }
@@ -76,7 +76,7 @@ func (s *System) WakeBackendAt(ch int, at int64) { s.wakeBackend(ch, at) }
 
 // DrainRetiredNow releases every request that died inside a backend since
 // the last drain (write retirements buffered by the device phase). Part of
-// the rack's sequential per-host phase E; harmlessly idempotent.
+// the rack's per-host phase E; harmlessly idempotent.
 func (s *System) DrainRetiredNow() { s.drainRetired() }
 
 // Prewarm runs the untimed warmup (LLC pre-fill from the construction

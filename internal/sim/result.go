@@ -37,11 +37,6 @@ type RunConfig struct {
 	Clocking Clocking
 	// Workers bounds RunSuite's parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Parallelism is the intra-system tick-phase worker count: cores and
-	// memory backends due at a cycle tick on this many goroutines between
-	// the cycle's synchronization points (see System.SetParallelism).
-	// Results are bit-identical for every value; <= 1 ticks sequentially.
-	Parallelism int
 	// SampleDetailInstr and SampleFastFwdInstr enable sampled simulation
 	// when both are positive: the measure phase alternates detailed windows
 	// of SampleDetailInstr per-core instructions with functional
@@ -64,12 +59,6 @@ type RunConfig struct {
 	// rack sweeps never alias warm-state cache entries across host counts
 	// or host positions; rack drivers set it per host (see rack.HostRunConfig).
 	Topology string
-	// RackParallelism is the rack-level host-shard worker count: hosts
-	// tick on this many goroutines between rack phases. Results are
-	// bit-identical for every value; <= 1 ticks hosts sequentially. It is
-	// independent of Parallelism (the intra-host worker count) and unused
-	// by single-host runs.
-	RackParallelism int
 	// OnProgress, when non-nil, observes phase progress at the
 	// cancellation-poll boundaries of the run loop (every ctxCheckCycles
 	// simulated cycles) and once at each phase end; rack runs report
@@ -192,8 +181,6 @@ func RunMixCtx(ctx context.Context, cfg Config, workloads []trace.Workload, rc R
 	if err != nil {
 		return Result{}, err
 	}
-	sys.SetParallelism(rc.Parallelism)
-	defer sys.Close()
 	sys.SetClocking(rc.Clocking)
 	sys.SetProgress(rc.OnProgress)
 	if rc.Validate {
@@ -269,8 +256,6 @@ func RunGenerators(cfg Config, gens []trace.Generator, hints []trace.Params, rc 
 	if err != nil {
 		return Result{}, err
 	}
-	sys.SetParallelism(rc.Parallelism)
-	defer sys.Close()
 	sys.SetClocking(rc.Clocking)
 	sys.SetProgress(rc.OnProgress)
 	if rc.Validate {

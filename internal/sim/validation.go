@@ -20,9 +20,8 @@ type validation struct {
 }
 
 // EnableValidation attaches the differential validation harness. Call
-// before the first tick; idempotent. Oracles are per-sub-channel with
-// private state, so they are safe under parallel backend ticking; the
-// lifecycle checker only observes the sequential drain phases.
+// before the first tick; idempotent. Oracles are per-sub-channel command
+// observers; the lifecycle checker observes send and Complete.
 //
 // The harness is observation-only: it never mutates requests or
 // schedulers, so a validated run is bit-identical to an unvalidated one.

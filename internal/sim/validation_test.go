@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"coaxial/internal/memreq"
@@ -35,8 +36,11 @@ func saveOracleReport(t *testing.T, err error) {
 // TestValidationSuite is the harness's acceptance matrix: the DDR timing
 // oracle and the lifecycle checker must report zero violations across the
 // default configuration suite (direct DDR, COAXIAL-4x, CXL-pooled) under
-// both clocking modes, sequential and parallel ticking, on both a paper
-// workload mix and the mixed-MPKI rack workload.
+// both clocking modes, on both a paper workload mix and the mixed-MPKI
+// rack workload. The parN axis runs N copies of the validated run at once,
+// the way RunSuite and the serve pool run independent sweep points: every
+// copy must be clean and all copies bit-identical, so no validation or
+// simulation state is shared between concurrent systems.
 func TestValidationSuite(t *testing.T) {
 	configs := []Config{Baseline(), Coaxial4x(), CoaxialPooled()}
 	loads := []struct {
@@ -63,16 +67,32 @@ func TestValidationSuite(t *testing.T) {
 							MeasureInstr:          6_000,
 							Seed:                  1,
 							Clocking:              mode.m,
-							Parallelism:           par,
 							Validate:              true,
 						}
-						res, err := RunMix(cfg, wl, rc)
-						if err != nil {
-							saveOracleReport(t, err)
-							t.Fatalf("validated run failed: %v", err)
+						results := make([]Result, par)
+						errs := make([]error, par)
+						var wg sync.WaitGroup
+						for i := range results {
+							wg.Add(1)
+							go func(i int) {
+								defer wg.Done()
+								results[i], errs[i] = RunMix(cfg, wl, rc)
+							}(i)
 						}
-						if res.Retired == 0 {
+						wg.Wait()
+						for i, err := range errs {
+							if err != nil {
+								saveOracleReport(t, err)
+								t.Fatalf("validated run %d failed: %v", i, err)
+							}
+						}
+						if results[0].Retired == 0 {
 							t.Error("validated run retired no instructions")
+						}
+						for i := 1; i < par; i++ {
+							if !reflect.DeepEqual(results[0], results[i]) {
+								t.Errorf("concurrent run %d differs from run 0\nrun 0: %+v\nrun %d: %+v", i, results[0], i, results[i])
+							}
 						}
 					})
 				}

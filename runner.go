@@ -12,7 +12,7 @@ import (
 )
 
 // Runner is the primary entry point for experiments: a reusable driver
-// holding the run configuration (seed, windows, clocking, parallelism) set
+// holding the run configuration (seed, windows, clocking, validation) set
 // once through functional options, plus a cache of warmed system state
 // shared across runs. The one-shot Run/RunMix/RunSuite functions remain as
 // thin wrappers for existing callers.
@@ -68,14 +68,6 @@ func WithClocking(m Clocking) RunnerOption {
 	return func(r *Runner) { r.rc.Clocking = m }
 }
 
-// WithParallelism sets the intra-system tick-phase worker count: cores and
-// memory backends due at a cycle tick on n goroutines between the cycle's
-// synchronization points. Results are bit-identical for every n; n <= 1
-// ticks sequentially.
-func WithParallelism(n int) RunnerOption {
-	return func(r *Runner) { r.rc.Parallelism = n }
-}
-
 // WithWindows sets the simulation windows, per core: the timing-free
 // functional cache warmup, the timed (discarded) warmup, and the measured
 // instruction budget. A zero functionalWarmup keeps the 1M-instruction
@@ -117,14 +109,6 @@ func WithSampling(detail, fastfwd uint64) RunnerOption {
 		r.rc.SampleDetailInstr = detail
 		r.rc.SampleFastFwdInstr = fastfwd
 	}
-}
-
-// WithRackParallelism sets the rack-level host-phase worker count for
-// RunRack: hosts due at a lockstep tick advance on n goroutines between
-// the rack's phase barriers. Results are bit-identical for every n
-// (TestRackClockingEquivalence); n <= 1 ticks hosts sequentially.
-func WithRackParallelism(n int) RunnerOption {
-	return func(r *Runner) { r.rc.RackParallelism = n }
 }
 
 // WithRunConfig replaces the whole run configuration (escape hatch for
