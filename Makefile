@@ -29,8 +29,8 @@ serve-test:
 # lint runs coaxlint (internal/lint): determinism, counter-hygiene, and
 # observer-purity invariants, plus unitcheck's
 # flow-sensitive clock-domain/dimension analysis, lockcheck's lock-set
-# analysis, and handlecheck's arena-handle lifetime analysis
-# (DESIGN.md §6). Findings
+# analysis, handlecheck's arena-handle lifetime analysis, and
+# alloccheck's zero-allocation hot-path analysis (DESIGN.md §6). Findings
 # listed in .coaxlint.baseline (if present) are pre-existing and accepted;
 # only new violations fail. Add -json for machine-readable output.
 lint:
@@ -43,8 +43,9 @@ lint-baseline:
 
 # lint-mutations proves the analyzers still catch what they exist to
 # catch: each suite plants real bugs (dimension slips, dropped unlocks,
-# reordered arena releases, deleted ownership annotations) into the
-# shipping sources via a load-time overlay and fails if any survive.
+# reordered arena releases, deleted ownership annotations, hot-path
+# allocations) into the shipping sources via a load-time overlay and
+# fails if any survive.
 lint-mutations:
 	$(GO) test -count=1 -run 'TestUnitCheckMutations|TestLockCheckMutations|TestHandleCheckMutations|TestAllocCheckMutations' ./internal/lint/
 

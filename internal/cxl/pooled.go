@@ -8,23 +8,25 @@ import (
 	"coaxial/internal/stats"
 )
 
-// This file splits the single-host Channel into the two halves a rack-scale
-// pooled topology needs: a host-side Port (the CPU-side CXL controller and
-// the serial link, private to one host) and a shared PooledDevice (the
-// type-3 pool: per-port arbitration into a common set of DDR channels).
+// This file holds the one implementation of a CXL channel, in two halves:
+// a host-side Port (the CPU-side CXL controller and the serial link,
+// private to one host) and a PooledDevice (the type-3 device: per-port
+// arbitration into its DDR channels). A single-host Channel is one Port on
+// a private device; a rack attaches several hosts' ports to a shared one.
 //
-// The split preserves Channel's per-cycle operation order exactly. One
-// Channel tick runs: (1) deliver due responses, (2) admit due ingress onto
-// the TX link, (3) retry device-stalled requests, (4) drain link arrivals
-// into the DDR controllers, (5) tick the DDR channels. A Port tick runs
-// steps 1–2 (host-side state only) in the rack's host phase; the device
-// phase runs steps 3–5, visiting ports in fixed attach order.
-// With a single port the interleaving of the two halves across channels is
-// immaterial — steps 1–2 never read device state, steps 3–5 never read
-// host-side state, and every cross-step handoff (a response scheduled in
-// step 5 via Port.Complete, an arrival pushed in step 2) targets a strictly
-// future cycle — so a one-host rack is bit-identical to the equivalent
-// single-System run (TestRackClockingEquivalence).
+// One cycle of a channel runs five steps: (1) deliver due responses, (2)
+// admit due ingress onto the TX link, (3) retry device-stalled requests,
+// (4) drain link arrivals into the DDR controllers, (5) tick the DDR
+// channels. Port.Tick runs steps 1–2 (host-side state only);
+// PooledDevice.TickDevice runs steps 3–5, visiting ports in fixed attach
+// order. Channel.Tick runs both back to back; the rack runs every host's
+// port ticks in its host phase, then every device in its device phase.
+// The interleaving of the two halves across channels is immaterial to a
+// port's own timing — steps 1–2 never read device state, steps 3–5 never
+// read host-side state, and every cross-step handoff (a response scheduled
+// in step 5 via Port.Complete, an arrival pushed in step 2) targets a
+// strictly future cycle — so a one-host rack is bit-identical to the
+// equivalent single-System run (TestOneHostMatchesSingleSystem).
 
 // PooledDeviceConfig describes one shared type-3 pool device.
 type PooledDeviceConfig struct {
@@ -35,10 +37,6 @@ type PooledDeviceConfig struct {
 	// DDRChannels is the number of DDR channels on the device.
 	DDRChannels int
 }
-
-// PortStats counts one port's link-level activity (the per-host slice of
-// Stats for a pooled device).
-type PortStats = Stats
 
 // PooledDevice is a type-3 memory pool shared by several hosts: a set of
 // DDR channels fed by per-host Ports. All device-side state advances only
@@ -68,13 +66,10 @@ type PooledDevice struct {
 	totalQueueCycles uint64
 }
 
-// NewPooledDevice builds a pool device. systemSubChannels densifies the DDR
-// address decode exactly as NewChannel does for single-host channels, so a
-// one-port device is timing-identical to the device inside a Channel.
+// NewPooledDevice builds a pool device with cfg.DDRChannels (>= 1, checked
+// by the sim and rack config validators) DDR channels. systemSubChannels
+// densifies the DDR address decode as for direct channels.
 func NewPooledDevice(cfg PooledDeviceConfig, systemSubChannels int) *PooledDevice {
-	if cfg.DDRChannels < 1 {
-		cfg.DDRChannels = 1
-	}
 	d := &PooledDevice{
 		cfg:       cfg,
 		queueHist: stats.NewHistogram(6000, 4),
@@ -92,11 +87,9 @@ func (d *PooledDevice) Name() string { return d.cfg.Name }
 // device. Attach order is arbitration order: TickDevice serves ports in the
 // order they were attached, so the rack driver attaches hosts in index
 // order to make cross-host arbitration deterministic. host tags the port's
-// traffic for fairness accounting and validation walks.
+// traffic for fairness accounting and validation walks. ingressDepth must
+// be >= 1 (sim.Config.Validate checks it for every CXL-attached host).
 func (d *PooledDevice) AttachHost(link LinkParams, ingressDepth, host int) *Port {
-	if ingressDepth < 1 {
-		ingressDepth = 64
-	}
 	p := &Port{
 		dev:          d,
 		host:         host,
@@ -123,9 +116,8 @@ func (d *PooledDevice) DDR() []*dram.Channel { return d.ddr }
 // TickDevice advances the device side of every attached port, then the DDR
 // channels, to cycle now. Ports are served in attach order: stalled
 // requests retry first (FIFO), then due link arrivals drain into the DDR
-// controllers — the same order Channel.Tick uses for its single host.
-// Must be called from one goroutine, after every host's port ticks for the
-// cycle (the rack's sequential device phase).
+// controllers. Call once per cycle, after every attached port's Tick for
+// that cycle (Channel.Tick, or the rack's device phase).
 func (d *PooledDevice) TickDevice(now int64) {
 	for _, p := range d.ports {
 		p.tickDeviceSide(now)
@@ -137,9 +129,12 @@ func (d *PooledDevice) TickDevice(now int64) {
 
 // NextEvent returns the earliest cycle after now at which TickDevice could
 // make progress: a link arrival coming due at any port, or a device DDR
-// channel event. Stalled retries need no separate bound for the same
-// reason as Channel.NextEvent: a DDR queue slot only frees at a cycle the
-// DDR channels' own NextEvent already reports.
+// channel event. Stalled retries need no separate bound: a DDR queue slot
+// only frees when a sub-channel issues a CAS (arrival pops move pending
+// counts into the queues without changing the admission sum), and every
+// such issue happens at a cycle the DDR channels' own NextEvent already
+// reports, so stalled retries between DDR events are provably rejected
+// again.
 func (d *PooledDevice) NextEvent(now int64) int64 {
 	next := int64(math.MaxInt64)
 	for _, p := range d.ports {
@@ -158,8 +153,10 @@ func (d *PooledDevice) NextEvent(now int64) int64 {
 	return next
 }
 
-// SetLazy switches per-sub-channel event skipping in the device's DDR
-// channels (see Channel.SetLazy).
+// SetLazy switches per-sub-channel event skipping on or off in the
+// device's DDR channels. The link layer itself needs no lazy cache: its
+// own ticks are cheap and the system-level event loop already skips an
+// idle channel.
 func (d *PooledDevice) SetLazy(on bool) {
 	for _, ch := range d.ddr {
 		ch.SetLazy(on)
@@ -240,8 +237,7 @@ func (d *PooledDevice) Idle() bool {
 	return true
 }
 
-// ddrEnqueue routes a request to the device DDR channel for its address,
-// with the same hash Channel uses.
+// ddrEnqueue routes a request to the device DDR channel for its address.
 func (d *PooledDevice) ddrEnqueue(r *memreq.Request, now int64) bool {
 	ch := d.ddr[0]
 	if len(d.ddr) > 1 {
@@ -254,9 +250,9 @@ func (d *PooledDevice) ddrEnqueue(r *memreq.Request, now int64) bool {
 
 // Port is the host-side half of one CXL channel into a PooledDevice: the
 // CPU-side CXL controller, the serial link in both directions, and the
-// response path. It implements the same backend surface as Channel
-// (memreq.Backend, counters, retired-write collection, validation walks),
-// so a sim.System embeds it exactly like any other memory backend.
+// response path. It implements the backend surface a sim.System needs
+// (memreq.Backend, counters, retired-write collection, validation walks);
+// a rack hands ports to its hosts directly, and Channel wraps one.
 //
 // Phase contract: Enqueue, Tick, NextEvent, and the response deliveries
 // inside Tick touch only port-local state and run in the rack's host
@@ -264,7 +260,7 @@ func (d *PooledDevice) ddrEnqueue(r *memreq.Request, now int64) bool {
 // device phase (TickDevice), which the rack driver runs after every host
 // phase, so admission in cycle t sees the device phase of cycle t-1.
 type Port struct {
-	dev          *Device
+	dev          *PooledDevice
 	host         int
 	ingressDepth int
 
@@ -299,16 +295,12 @@ type Port struct {
 	//lint:owns handed to the owning System's retired drain by DrainRetired, which releases them
 	retired []*memreq.Request
 
-	stats PortStats
+	stats Stats
 	// readBytes/writeBytes tally this port's data transfers for per-host
 	// counter attribution on shared devices.
 	readBytes, writeBytes uint64
 	now                   int64 //lint:unit cycles
 }
-
-// Device is an alias kept so Port's field reads naturally; the pooled
-// device is the only device kind ports attach to.
-type Device = PooledDevice
 
 // Host returns the attached host's index.
 func (p *Port) Host() int { return p.host }
@@ -317,8 +309,9 @@ func (p *Port) Host() int { return p.host }
 func (p *Port) Device() *PooledDevice { return p.dev }
 
 // Enqueue implements memreq.Backend: the request enters the CPU-side CXL
-// controller at cycle at. Same admission bound and completer interposition
-// as Channel.Enqueue.
+// controller at cycle at, unless Outstanding has reached the ingress
+// depth. The port interposes on the completion path: it remembers the
+// requester's completer and routes DRAM completions back through itself.
 func (p *Port) Enqueue(r *memreq.Request, at int64) bool {
 	if p.outstanding >= p.ingressDepth {
 		return false
@@ -333,14 +326,18 @@ func (p *Port) Enqueue(r *memreq.Request, at int64) bool {
 	return true
 }
 
-// Complete receives DRAM-side completions from the shared device (read
-// data ready, or write committed) and schedules the response path. Runs in
-// the sequential device phase (the DDR channels tick there), so pushing
-// into the port's response heap is race-free; deliveries happen in later
-// cycles' host phases because the device egress port alone puts the
-// delivery at least one cycle out.
+// Complete receives DRAM-side completions from the device (read data
+// ready, or write committed) and schedules the response path: device
+// egress port, RX serialization under link occupancy, CPU ingress port.
+// Runs in the device half of the cycle (the DDR channels tick there);
+// deliveries happen in later cycles' host halves because the device
+// egress port alone puts the delivery at least one cycle out.
 func (p *Port) Complete(r *memreq.Request, now int64) {
 	if r.Kind == memreq.Write {
+		// Write data was already transferred; no response modeled (CXL
+		// write completions are small NDR messages off the critical path).
+		// A write with no requester completer dies here — buffer it for
+		// the retired drain when collection is on.
 		p.writeBytes += memreq.LineSize
 		p.dev.hostWriteBytes[p.host] += memreq.LineSize
 		if r.Inner != nil {
@@ -367,9 +364,9 @@ func (p *Port) Complete(r *memreq.Request, now int64) {
 	p.responses.Push(deliver, r)
 }
 
-// Tick implements memreq.Backend: the host-side half of Channel.Tick —
-// deliver due responses, admit due ingress onto the TX link. Device-side
-// work (stalled retries, link-arrival drain, DDR ticks) belongs to
+// Tick implements memreq.Backend for the host-side half: deliver due
+// responses, admit due ingress onto the TX link. Device-side work (stalled
+// retries, link-arrival drain, DDR ticks) belongs to
 // PooledDevice.TickDevice.
 func (p *Port) Tick(now int64) {
 	if now <= p.now {
@@ -419,6 +416,8 @@ func (p *Port) tickDeviceSide(now int64) {
 		if !p.dev.ddrEnqueue(w.req, now) {
 			break
 		}
+		// Waiting for a DDR queue slot is memory queuing, not interface
+		// time; attribute it alongside controller-queue spill.
 		wait := uint64(now - w.since)
 		p.stats.RetryCycles += wait
 		p.dev.totalQueueCycles += wait
@@ -480,14 +479,13 @@ func (p *Port) SetLazy(on bool) { p.dev.SetLazy(on) }
 func (p *Port) Sync(now int64) { p.dev.Sync(now) }
 
 // PeakGBs implements memreq.Backend: the DDR capacity behind the device
-// (the host's utilization is quoted against the full pool it can reach,
-// matching Channel.PeakGBs for one-port devices).
+// (utilization in the paper's figures is quoted against DRAM peak; a host
+// on a shared device is quoted against the full pool it can reach).
 func (p *Port) PeakGBs() float64 { return p.dev.PeakGBs() }
 
 // Counters reports the DRAM activity attributable to this port. A sole
-// port owns its device outright and reports the device's full DRAM
-// counters — making a one-host rack's per-host Result identical to the
-// single-System one. With multiple ports sharing the device, DRAM commands
+// port (every Channel, and a one-host rack) owns its device outright and
+// reports the device's full DRAM counters. With multiple ports sharing the device, DRAM commands
 // cannot be attributed per host, so the port reports only its own data
 // transfers (RD/WR command counts and bytes); the full device counters
 // appear in the rack result's per-device stats.
@@ -506,22 +504,22 @@ func (p *Port) Counters() dram.Counters {
 // ResetCounters zeroes the port's tallies and the device DDR counters
 // (idempotent across ports resetting at the same measurement boundary).
 func (p *Port) ResetCounters() {
-	p.stats = PortStats{}
+	p.stats = Stats{}
 	p.readBytes, p.writeBytes = 0, 0
 	p.dev.ResetCounters()
 }
 
 // LinkStats returns this port's link activity counters.
-func (p *Port) LinkStats() PortStats { return p.stats }
+func (p *Port) LinkStats() Stats { return p.stats }
 
 // SetCollectRetired enables buffering of writes that die inside the device
 // (committed with no requester completer) for the owning system's retired
-// drain. Retirements happen in the device phase, so the rack driver drains
-// them in its phase after the device phase — not inside the host tick.
+// drain. Retirements happen in the device half of the cycle, so the owner
+// drains them after TickDevice — not inside the host tick.
 func (p *Port) SetCollectRetired(on bool) { p.collectRetired = on }
 
 // DrainRetired hands every buffered retired request to fn and clears the
-// buffer. Call only from the rack's sequential phases.
+// buffer. Call only between ticks.
 func (p *Port) DrainRetired(fn func(*memreq.Request)) {
 	if len(p.retired) == 0 {
 		return
@@ -542,10 +540,11 @@ func (p *Port) IngressDepth() int { return p.ingressDepth }
 
 // ForEachPending visits every request currently inside this port: awaiting
 // the TX link, in flight to the device, stalled on DDR backpressure, or
-// traversing back on the response path. Requests inside the shared DDR
-// controllers are not included — the rack walks each device's DDR once and
-// dispatches by Request.Host, so no request is visited twice when a host
-// has several ports on one device.
+// traversing back on the response path. Requests inside the device's DDR
+// controllers are not included — Channel.ForEachPending adds its private
+// device's; the rack walks each shared device's DDR once and dispatches by
+// Request.Host, so no request is visited twice when a host has several
+// ports on one device.
 func (p *Port) ForEachPending(fn func(*memreq.Request)) {
 	p.ingress.ForEach(fn)
 	p.deviceQ.ForEach(fn)

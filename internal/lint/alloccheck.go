@@ -69,7 +69,7 @@ type alloccheckState struct {
 	cfg      AllocConfig
 	hot      map[string]bool
 	allocFns map[string]bool
-	cfgCache map[*ast.FuncDecl]*analysis.CFG
+	cfgs     analysis.CFGCache
 }
 
 // AllocConfig configures the alloccheck analyzer for a repository.
@@ -114,10 +114,9 @@ func DefaultAllocConfig() AllocConfig {
 			"coaxial/internal/dram.SubChannel.NextEvent",
 			"coaxial/internal/dram.SubChannel.tryIssue",
 			"coaxial/internal/dram.SubChannel.Enqueue",
-			// cxl: link serialization, retry, and the retired drains.
+			// cxl: link serialization, retry, and the retired drains. A
+			// Channel's Enqueue and Complete are its Port's.
 			"coaxial/internal/cxl.Channel.Tick",
-			"coaxial/internal/cxl.Channel.Enqueue",
-			"coaxial/internal/cxl.Channel.Complete",
 			"coaxial/internal/cxl.Channel.NextEvent",
 			"coaxial/internal/cxl.PooledDevice.TickDevice",
 			"coaxial/internal/cxl.Port.Tick",
@@ -157,7 +156,7 @@ func NewAllocCheck(cfg AllocConfig) *analysis.Analyzer {
 		cfg:      cfg,
 		hot:      map[string]bool{},
 		allocFns: map[string]bool{},
-		cfgCache: map[*ast.FuncDecl]*analysis.CFG{},
+		cfgs:     analysis.CFGCache{},
 	}
 	for _, f := range cfg.HotFuncs {
 		a.hot[f] = true
@@ -175,9 +174,28 @@ func NewAllocCheck(cfg AllocConfig) *analysis.Analyzer {
 }
 
 func (a *alloccheckState) run(pass *analysis.Pass) error {
-	a.inferSummaries(pass)
+	a.checkHotRoots(pass)
+	analysis.InferSummaries(pass, analysis.FuncDecls(pass), allocSumFact,
+		func(fn analysis.FuncDecl) allocSummary { return a.analyze(pass, fn.Decl, false) },
+		func(x, y allocSummary) bool { return x == y })
 	a.reportPackage(pass)
 	return nil
+}
+
+// checkHotRoots reports every HotFuncs entry of this package that names no
+// declared function or method (a renamed root, or a method now promoted
+// from an embedded type): such a root would silently check nothing.
+func (a *alloccheckState) checkHotRoots(pass *analysis.Pass) {
+	for _, name := range a.cfg.HotFuncs {
+		pkg, rest := splitQName(name)
+		if pkg != pass.Pkg.Path() {
+			continue
+		}
+		if _, ok := declaredObject(pass.Pkg, rest).(*types.Func); !ok {
+			pass.Reportf(pass.Files[0].Name.Pos(),
+				"hot root %s names no declared function or method in package %s", name, pkg)
+		}
+	}
 }
 
 // ---- allocation sites and flow state ----
@@ -380,15 +398,20 @@ func cutPrefixWord(s, word string) (string, bool) {
 // (honoring suppressions itself).
 func (c *allocChecker) emit(pos token.Pos, fix *analysis.SuggestedFix, format string, args ...any) {
 	if c.collect != nil {
-		if !c.collect.allocates && !c.suppressed(pos) {
-			c.collect.allocates = true
-			c.collect.reason = fmt.Sprintf("%s: %s",
-				c.pass.Fset.Position(pos), fmt.Sprintf(format, args...))
-		}
+		c.collectAt(pos, fmt.Sprintf("%s: %s", c.pass.Fset.Position(pos), fmt.Sprintf(format, args...)))
 		return
 	}
 	if c.reporting {
 		c.pass.ReportWithFix(pos, fix, format, args...)
+	}
+}
+
+// collectAt records the function's first unsuppressed allocation event
+// in the summary being collected.
+func (c *allocChecker) collectAt(pos token.Pos, reason string) {
+	if !c.collect.allocates && !c.suppressed(pos) {
+		c.collect.allocates = true
+		c.collect.reason = reason
 	}
 }
 
@@ -745,8 +768,15 @@ func (c *allocChecker) call(call *ast.CallExpr, env *allocEnv) {
 		qname := funcQName(fn)
 		if c.a.allocFns[qname] {
 			c.emit(call.Pos(), nil, "call to %s allocates in hot path", qname)
-		} else if v, ok := c.pass.Facts.Get(fn, allocSumFact); ok {
-			if sum, _ := v.(allocSummary); sum.allocates {
+		} else if v, ok := c.pass.Facts.Get(fn, allocSumFact); ok && v.(allocSummary).allocates {
+			sum := v.(allocSummary)
+			if c.collect != nil {
+				// A caller's summary inherits the callee's root
+				// allocation, not the call chain: a chain through a
+				// recursive cycle would grow every pass and never
+				// converge.
+				c.collectAt(call.Pos(), sum.reason)
+			} else {
 				c.emit(call.Pos(), nil, "call to %s allocates in hot path (%s)", fn.Name(), sum.reason)
 			}
 		}
@@ -1154,83 +1184,29 @@ func (a *alloccheckState) hotDecl(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	return obj != nil && a.hot[funcQName(obj)]
 }
 
-// inferSummaries computes allocation summaries for the package's
-// functions to a fixpoint, so helper chains resolve before callers are
-// checked — within the package by iteration, across packages by the
-// driver's dependency order.
-func (a *alloccheckState) inferSummaries(pass *analysis.Pass) {
-	type cand struct {
-		decl *ast.FuncDecl
-		obj  *types.Func
-	}
-	var cands []cand
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			cands = append(cands, cand{decl: fd, obj: obj})
-		}
-	}
-	for iter := 0; iter < 4; iter++ {
-		changed := false
-		for _, cd := range cands {
-			sum := a.summarize(pass, cd.decl)
-			cur := allocSummary{}
-			if v, ok := pass.Facts.Get(cd.obj, allocSumFact); ok {
-				cur, _ = v.(allocSummary)
-			}
-			if sum != cur {
-				pass.Facts.Set(cd.obj, allocSumFact, sum)
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
-// summarize computes one function's allocation summary.
-func (a *alloccheckState) summarize(pass *analysis.Pass, fd *ast.FuncDecl) allocSummary {
-	cfg := a.cfgFor(fd)
+// analyze runs the allocation flow analysis over fd. With report off it
+// returns fd's summary; with report on it replays the fixpoint with
+// diagnostics enabled.
+func (a *alloccheckState) analyze(pass *analysis.Pass, fd *ast.FuncDecl, report bool) allocSummary {
+	cfg := a.cfgs.Of(fd)
 	c := &allocChecker{a: a, pass: pass, body: fd.Body, reported: map[token.Pos]bool{}}
 	c.prescan(fd.Body)
-	c.collect = &allocSummary{}
+	var sum allocSummary
+	if !report {
+		c.collect = &sum
+	}
 	in := analysis.Forward(cfg, newAllocEnv(), c.transfer)
+	c.reporting = report
+	c.reported = map[token.Pos]bool{}
 	analysis.ReplayBlocks(cfg, in, c.transfer)
-	return *c.collect
+	return sum
 }
 
 // reportPackage replays every hot function with diagnostics enabled.
 func (a *alloccheckState) reportPackage(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !a.hotDecl(pass, fd) {
-				continue
-			}
-			cfg := a.cfgFor(fd)
-			c := &allocChecker{a: a, pass: pass, body: fd.Body, reported: map[token.Pos]bool{}}
-			c.prescan(fd.Body)
-			in := analysis.Forward(cfg, newAllocEnv(), c.transfer)
-			c.reporting = true
-			c.reported = map[token.Pos]bool{}
-			analysis.ReplayBlocks(cfg, in, c.transfer)
+	for _, fn := range analysis.FuncDecls(pass) {
+		if a.hotDecl(pass, fn.Decl) {
+			a.analyze(pass, fn.Decl, true)
 		}
 	}
-}
-
-func (a *alloccheckState) cfgFor(fd *ast.FuncDecl) *analysis.CFG {
-	cfg := a.cfgCache[fd]
-	if cfg == nil {
-		cfg = analysis.BuildCFG(fd.Body)
-		a.cfgCache[fd] = cfg
-	}
-	return cfg
 }

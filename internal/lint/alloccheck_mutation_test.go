@@ -126,17 +126,19 @@ func allocMutations() []concMutation {
 		},
 		{
 			name: "cxl-tick-retains-fresh-slice",
-			file: "internal/cxl/cxl.go",
-			old: `	c.now = now
+			file: "internal/cxl/pooled.go",
+			old: `	p.now = now
 
-	// Deliver due responses to the original requesters.`,
-			new: `	c.now = now
-	c.traceBuf = make([]int64, 0)
+	for {
+		r, ok := p.responses.PopDue(now)`,
+			new: `	p.now = now
+	p.traceBuf = make([]int64, 0)
 
-	// Deliver due responses to the original requesters.`,
+	for {
+		r, ok := p.responses.PopDue(now)`,
 			second: [2]string{
-				"	ddr []*dram.Channel\n",
-				"	ddr []*dram.Channel\n\ttraceBuf []int64\n",
+				"	dev          *PooledDevice\n",
+				"	dev          *PooledDevice\n\ttraceBuf []int64\n",
 			},
 			patterns: []string{"coaxial/internal/cxl"},
 			wantSub:  "escapes (stored into field traceBuf)",

@@ -10,10 +10,11 @@ import (
 
 // fixtureAllocConfig rebinds the hot-root table to the hermetic allocfix
 // fixture: one table-declared root (tableHot) beside the annotation-driven
-// ones, with the default always-allocates list unchanged.
+// ones, plus a stale entry (staleRoot) the analyzer must report, with the
+// default always-allocates list unchanged.
 func fixtureAllocConfig() lint.AllocConfig {
 	cfg := lint.DefaultAllocConfig()
-	cfg.HotFuncs = []string{"allocfix.tableHot"}
+	cfg.HotFuncs = []string{"allocfix.tableHot", "allocfix.staleRoot"}
 	return cfg
 }
 

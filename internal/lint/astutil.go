@@ -113,6 +113,49 @@ func funcQName(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + fn.Name()
 }
 
+// splitQName splits a qualified table name ("pkg/path.Name" or
+// "pkg/path.Type.Member") into its package path and the rest.
+func splitQName(name string) (pkgPath, rest string) {
+	slash := strings.LastIndex(name, "/")
+	dot := strings.Index(name[slash+1:], ".")
+	if dot < 0 {
+		return "", name
+	}
+	return name[:slash+1+dot], name[slash+2+dot:]
+}
+
+// declaredObject resolves rest ("Name" or "Type.Member", from splitQName)
+// against pkg: a package-level object, or a field or method declared on
+// Type itself. Members promoted from embedded types do not resolve — table
+// entries match declaration identities (funcQName), which name the
+// declaring type. Returns nil when nothing is declared under rest.
+func declaredObject(pkg *types.Package, rest string) types.Object {
+	head, member, isMember := strings.Cut(rest, ".")
+	obj := pkg.Scope().Lookup(head)
+	if !isMember || obj == nil {
+		return obj
+	}
+	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		return nil
+	}
+	if named, ok := tn.Type().(*types.Named); ok {
+		for i := 0; i < named.NumMethods(); i++ {
+			if m := named.Method(i); m.Name() == member {
+				return m
+			}
+		}
+	}
+	if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Name() == member {
+				return f
+			}
+		}
+	}
+	return nil
+}
+
 // namedOf unwraps pointers and aliases down to the *types.Named beneath a
 // type, or nil.
 func namedOf(t types.Type) *types.Named {

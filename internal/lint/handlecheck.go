@@ -44,7 +44,7 @@ type handlecheckState struct {
 	releases   map[string]bool
 	inspectors map[string]bool
 	handleType map[string]bool
-	cfgCache   map[*ast.FuncDecl]*analysis.CFG
+	cfgs       analysis.CFGCache
 }
 
 // HandleConfig configures the handlecheck analyzer.
@@ -122,7 +122,7 @@ func NewHandleCheck(cfg HandleConfig) *analysis.Analyzer {
 		releases:   map[string]bool{},
 		inspectors: map[string]bool{},
 		handleType: map[string]bool{},
-		cfgCache:   map[*ast.FuncDecl]*analysis.CFG{},
+		cfgs:       analysis.CFGCache{},
 	}
 	for _, q := range cfg.Allocs {
 		h.allocs[q] = true
@@ -146,7 +146,9 @@ func NewHandleCheck(cfg HandleConfig) *analysis.Analyzer {
 
 func (h *handlecheckState) run(pass *analysis.Pass) error {
 	h.annotate(pass)
-	h.inferSummaries(pass)
+	analysis.InferSummaries(pass, analysis.FuncDecls(pass), handleSumFact,
+		func(fn analysis.FuncDecl) handleSummary { return h.summarize(pass, fn.Decl, fn.Obj) },
+		handleSummary.equal)
 	if pathPrefixes(pass.Pkg.Path(), h.cfg.Scope) {
 		h.reportPackage(pass)
 	}
@@ -750,47 +752,6 @@ func structOf(t types.Type) *types.Struct {
 
 // ---- package passes ----
 
-// inferSummaries computes handle summaries for this package's functions to
-// a fixpoint (wrappers of wrappers converge in as many iterations as the
-// chain is deep; four covers everything in this repository).
-func (h *handlecheckState) inferSummaries(pass *analysis.Pass) {
-	type cand struct {
-		decl *ast.FuncDecl
-		obj  *types.Func
-	}
-	var cands []cand
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			cands = append(cands, cand{decl: fd, obj: obj})
-		}
-	}
-	for iter := 0; iter < 4; iter++ {
-		changed := false
-		for _, cd := range cands {
-			sum := h.summarize(pass, cd.decl, cd.obj)
-			cur := handleSummary{}
-			if v, ok := pass.Facts.Get(cd.obj, handleSumFact); ok {
-				cur, _ = v.(handleSummary)
-			}
-			if !sum.equal(cur) {
-				pass.Facts.Set(cd.obj, handleSumFact, sum)
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
 // paramHandles returns the handle-typed parameters of a function with
 // their positions.
 func (h *handlecheckState) paramHandles(obj *types.Func) map[int]*types.Var {
@@ -822,7 +783,7 @@ func (h *handlecheckState) entryEnv(c *handleChecker, obj *types.Func) *handleEn
 
 // summarize computes one function's handle summary.
 func (h *handlecheckState) summarize(pass *analysis.Pass, fd *ast.FuncDecl, obj *types.Func) handleSummary {
-	cfg := h.cfgFor(fd)
+	cfg := h.cfgs.Of(fd)
 	c := &handleChecker{h: h, pass: pass, cellAt: map[token.Pos]int{}, fresh: map[int]bool{}}
 	entry := h.entryEnv(c, obj)
 	in := analysis.Forward(cfg, entry, c.transfer)
@@ -851,15 +812,6 @@ func (h *handlecheckState) summarize(pass *analysis.Pass, fd *ast.FuncDecl, obj 
 	return sum
 }
 
-func (h *handlecheckState) cfgFor(fd *ast.FuncDecl) *analysis.CFG {
-	cfg := h.cfgCache[fd]
-	if cfg == nil {
-		cfg = analysis.BuildCFG(fd.Body)
-		h.cfgCache[fd] = cfg
-	}
-	return cfg
-}
-
 // reportPackage replays every function with diagnostics enabled.
 func (h *handlecheckState) reportPackage(pass *analysis.Pass) {
 	for _, f := range pass.Files {
@@ -872,7 +824,7 @@ func (h *handlecheckState) reportPackage(pass *analysis.Pass) {
 			if obj == nil {
 				continue
 			}
-			cfg := h.cfgFor(fd)
+			cfg := h.cfgs.Of(fd)
 			c := &handleChecker{h: h, pass: pass, cellAt: map[token.Pos]int{}, fresh: map[int]bool{}}
 			entry := h.entryEnv(c, obj)
 			in := analysis.Forward(cfg, entry, c.transfer)

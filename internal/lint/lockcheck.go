@@ -45,7 +45,7 @@ import (
 type lockcheckState struct {
 	cfg      LockConfig
 	blocking map[string]bool
-	cfgCache map[*ast.FuncDecl]*analysis.CFG
+	cfgs     analysis.CFGCache
 	// names maps guard objects to their annotated display form
 	// ("store.mu"); locks seen only at Lock sites render as the bare field
 	// name.
@@ -120,7 +120,7 @@ func NewLockCheck(cfg LockConfig) *analysis.Analyzer {
 	l := &lockcheckState{
 		cfg:      cfg,
 		blocking: map[string]bool{},
-		cfgCache: map[*ast.FuncDecl]*analysis.CFG{},
+		cfgs:     analysis.CFGCache{},
 		names:    map[types.Object]string{},
 	}
 	for _, b := range cfg.Blocking {
@@ -146,7 +146,9 @@ func exactScope(path string, scope []string) bool {
 
 func (l *lockcheckState) run(pass *analysis.Pass) error {
 	l.annotate(pass)
-	l.inferSummaries(pass)
+	analysis.InferSummaries(pass, analysis.FuncDecls(pass), lockSumFact,
+		func(fn analysis.FuncDecl) lockSummary { return l.summarize(pass, fn.Decl) },
+		lockSummary.equal)
 	if exactScope(pass.Pkg.Path(), l.cfg.Scope) {
 		l.reportPackage(pass)
 	}
@@ -775,54 +777,12 @@ func sortedObjs(set map[types.Object]token.Pos) []types.Object {
 
 // ---- package passes ----
 
-// inferSummaries computes lock summaries for this package's functions to a
-// fixpoint, so helpers that require a caller-held lock are recognized
-// before their callers are checked — within the package by iteration,
-// across packages by the driver's dependency order.
-func (l *lockcheckState) inferSummaries(pass *analysis.Pass) {
-	type cand struct {
-		decl *ast.FuncDecl
-		obj  *types.Func
-	}
-	var cands []cand
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			cands = append(cands, cand{decl: fd, obj: obj})
-		}
-	}
-	for iter := 0; iter < 4; iter++ {
-		changed := false
-		for _, cd := range cands {
-			sum := l.summarize(pass, cd.decl)
-			cur := lockSummary{}
-			if v, ok := pass.Facts.Get(cd.obj, lockSumFact); ok {
-				cur, _ = v.(lockSummary)
-			}
-			if !sum.equal(cur) {
-				pass.Facts.Set(cd.obj, lockSumFact, sum)
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
 // summarize computes one function's lock summary: pass 1 infers entry
 // requirements (unheld guarded accesses of locks the function never
 // manipulates), pass 2 re-runs with the requirements assumed and diffs the
 // exit state against them.
 func (l *lockcheckState) summarize(pass *analysis.Pass, fd *ast.FuncDecl) lockSummary {
-	cfg := l.cfgFor(fd)
+	cfg := l.cfgs.Of(fd)
 	c := &lockChecker{l: l, pass: pass, fname: fd.Name.Name}
 	c.prescan(fd.Body)
 
@@ -869,15 +829,6 @@ func (l *lockcheckState) summarize(pass *analysis.Pass, fd *ast.FuncDecl) lockSu
 	return sum
 }
 
-func (l *lockcheckState) cfgFor(fd *ast.FuncDecl) *analysis.CFG {
-	cfg := l.cfgCache[fd]
-	if cfg == nil {
-		cfg = analysis.BuildCFG(fd.Body)
-		l.cfgCache[fd] = cfg
-	}
-	return cfg
-}
-
 // reportPackage runs the reporting pass over every function body and
 // function literal of an in-scope package.
 func (l *lockcheckState) reportPackage(pass *analysis.Pass) {
@@ -892,7 +843,7 @@ func (l *lockcheckState) reportPackage(pass *analysis.Pass) {
 						requires = sum.requires
 					}
 				}
-				l.reportFunc(pass, l.cfgFor(fd), fd.Body, fd.Name.Name, requires)
+				l.reportFunc(pass, l.cfgs.Of(fd), fd.Body, fd.Name.Name, requires)
 			}
 		}
 		// Function literals are analyzed as independent functions: their

@@ -224,7 +224,7 @@ func handleMutations() []concMutation {
 		},
 		{
 			name: "cxl-retired-owns-deleted",
-			file: "internal/cxl/cxl.go",
+			file: "internal/cxl/pooled.go",
 			old: `	//lint:owns handed to the owning System's retired drain by DrainRetired, which releases them
 	retired []*memreq.Request`,
 			new:      `	retired []*memreq.Request`,

@@ -2,8 +2,10 @@
 // composites/new/make, value-semantics copies (clean), un-hinted append
 // growth in loops, interface boxing, string conversions, always-allocating
 // calls, interprocedural summaries, //lint:allocfree roots, and
-// //lint:alloc suppression with mandatory justification.
-package allocfix
+// //lint:alloc suppression with mandatory justification. The test's
+// HotFuncs table also names a root that no longer exists, which is
+// reported on the package clause.
+package allocfix // want `hot root allocfix\.staleRoot names no declared function or method in package allocfix`
 
 import "fmt"
 
@@ -228,6 +230,42 @@ func hotCallsEscHelper(b *box) {
 //lint:allocfree
 func hotCallsChain(b *box) {
 	chainHelper(b) // want `call to chainHelper allocates in hot path`
+}
+
+// A helper chain five calls deep, declared caller-first: each summary pass
+// in source order resolves one more level, so a fixpoint stopped after a
+// fixed four passes leaves deepHelper1 (and the hot root) looking clean.
+
+//lint:allocfree
+func hotCallsDeepChain(b *box) {
+	deepHelper1(b) // want `call to deepHelper1 allocates in hot path \(.*escapes \(stored into field sink\)\)`
+}
+
+func deepHelper1(b *box) { deepHelper2(b) }
+
+func deepHelper2(b *box) { deepHelper3(b) }
+
+func deepHelper3(b *box) { deepHelper4(b) }
+
+func deepHelper4(b *box) { deepHelper5(b) }
+
+func deepHelper5(b *box) {
+	b.sink = &node{id: 15}
+}
+
+// recHelper's first allocation event is its own recursive call, so a
+// summary quoting the call chain would grow every pass; the summary keeps
+// the root allocation and converges.
+func recHelper(b *box, n int) {
+	if n > 0 {
+		recHelper(b, n-1)
+	}
+	b.sink = &node{id: 16}
+}
+
+//lint:allocfree
+func hotCallsRecursive(b *box) {
+	recHelper(b, 3) // want `call to recHelper allocates in hot path \([^()]*escapes \(stored into field sink\)\)$`
 }
 
 //lint:allocfree

@@ -2,8 +2,9 @@
 // real clock-domain bug would, and unitcheck must flag exactly the
 // diagnostic its want comment names. The test's declaration table seeds
 // FreqGHz (GHz), toCycles/toNS/hopCycles (conversion signatures),
-// Timing.* (cycles), and Link.PortNS (ns).
-package unitfix
+// Timing.* (cycles), and Link.PortNS (ns); its stale entries (a field and
+// a function that do not exist) are reported on the package clause.
+package unitfix // want `entry unitfix\.Link\.RetryCycles names no declared object` `entry unitfix\.gone names no declared object`
 
 // Link stands in for a CXL-ish link config: PortNS is table-seeded ns;
 // readyAt is dimensioned by annotation.

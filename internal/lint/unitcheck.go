@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 
 	"coaxial/internal/lint/analysis"
@@ -155,13 +156,13 @@ func DefaultUnitConfig() UnitConfig {
 			"coaxial/internal/clock.SerializationCycles": "bytes, GB/s -> cycles",
 
 			// DDR5 timing constraints are all in command-clock cycles.
-			"coaxial/internal/dram.Timing.*":                 "cycles",
-			"coaxial/internal/dram.Config.RowBytes":          "bytes",
-			"coaxial/internal/dram.Config.PeakGBsPerSub":     "GB/s",
-			"coaxial/internal/dram.Config.PeakGBs":           "-> GB/s",
-			"coaxial/internal/dram.Channel.PeakGBs":          "-> GB/s",
-			"coaxial/internal/dram.Counters.ReadBytes":       "bytes",
-			"coaxial/internal/dram.Counters.WriteBytes":      "bytes",
+			"coaxial/internal/dram.Timing.*":                  "cycles",
+			"coaxial/internal/dram.Config.RowBytes":           "bytes",
+			"coaxial/internal/dram.Config.PeakGBsPerSub":      "GB/s",
+			"coaxial/internal/dram.Config.PeakGBs":            "-> GB/s",
+			"coaxial/internal/dram.Channel.PeakGBs":           "-> GB/s",
+			"coaxial/internal/dram.Counters.ReadBytes":        "bytes",
+			"coaxial/internal/dram.Counters.WriteBytes":       "bytes",
 			"coaxial/internal/dram.Counters.ActiveBankCycles": "cycles",
 
 			// CXL link parameters: port latency in ns, goodput in GB/s.
@@ -172,7 +173,8 @@ func DefaultUnitConfig() UnitConfig {
 			"coaxial/internal/cxl.LinkParams.WithPortNS":          "ns -> _",
 			"coaxial/internal/cxl.LinkParams.UnloadedReadAdderNS": "-> ns",
 			"coaxial/internal/cxl.Stats.RetryCycles":              "cycles",
-			"coaxial/internal/cxl.Channel.PeakGBs":                "-> GB/s",
+			"coaxial/internal/cxl.Port.PeakGBs":                   "-> GB/s",
+			"coaxial/internal/cxl.PooledDevice.PeakGBs":           "-> GB/s",
 
 			// NoC hop latency.
 			"coaxial/internal/noc.Mesh.HopCycles": "cycles",
@@ -182,13 +184,13 @@ func DefaultUnitConfig() UnitConfig {
 			"coaxial/internal/memreq.LineSize": "bytes",
 
 			// Stats accumulators and bandwidth conversions.
-			"coaxial/internal/stats.GBs":           "bytes, cycles -> GB/s",
-			"coaxial/internal/stats.Utilization":   "GB/s, GB/s -> dimensionless",
-			"coaxial/internal/stats.Breakdown.Add": "cycles, cycles, cycles, cycles ->",
-			"coaxial/internal/stats.Breakdown.OnChip":  "cycles",
-			"coaxial/internal/stats.Breakdown.Queue":   "cycles",
-			"coaxial/internal/stats.Breakdown.Service": "cycles",
-			"coaxial/internal/stats.Breakdown.CXL":     "cycles",
+			"coaxial/internal/stats.GBs":                  "bytes, cycles -> GB/s",
+			"coaxial/internal/stats.Utilization":          "GB/s, GB/s -> dimensionless",
+			"coaxial/internal/stats.Breakdown.Add":        "cycles, cycles, cycles, cycles ->",
+			"coaxial/internal/stats.Breakdown.OnChip":     "cycles",
+			"coaxial/internal/stats.Breakdown.Queue":      "cycles",
+			"coaxial/internal/stats.Breakdown.Service":    "cycles",
+			"coaxial/internal/stats.Breakdown.CXL":        "cycles",
 			"coaxial/internal/stats.Bandwidth.ReadBytes":  "bytes",
 			"coaxial/internal/stats.Bandwidth.WriteBytes": "bytes",
 			"coaxial/internal/stats.Bandwidth.AddRead":    "bytes ->",
@@ -226,20 +228,20 @@ const (
 // unitcheckState is the analyzer's parsed configuration plus caches shared
 // across packages of one run.
 type unitcheckState struct {
-	cfg      UnitConfig
-	decls    map[string]Dim
-	sigs     map[string]unitSig
-	cfgCache map[*ast.FuncDecl]*analysis.CFG
+	cfg   UnitConfig
+	decls map[string]Dim
+	sigs  map[string]unitSig
+	cfgs  analysis.CFGCache
 }
 
 // NewUnitCheck builds the unitcheck analyzer from a configuration.
 // Malformed Decls entries panic: the table is program text, not input.
 func NewUnitCheck(cfg UnitConfig) *analysis.Analyzer {
 	u := &unitcheckState{
-		cfg:      cfg,
-		decls:    map[string]Dim{},
-		sigs:     map[string]unitSig{},
-		cfgCache: map[*ast.FuncDecl]*analysis.CFG{},
+		cfg:   cfg,
+		decls: map[string]Dim{},
+		sigs:  map[string]unitSig{},
+		cfgs:  analysis.CFGCache{},
 	}
 	for name, spec := range cfg.Decls {
 		if strings.Contains(spec, "->") {
@@ -288,6 +290,7 @@ func parseUnitSig(spec string) (unitSig, error) {
 }
 
 func (u *unitcheckState) run(pass *analysis.Pass) error {
+	u.checkDecls(pass)
 	u.annotate(pass)
 	u.infer(pass)
 	if pathPrefixes(pass.Pkg.Path(), u.cfg.Scope) {
@@ -360,56 +363,56 @@ func (u *unitcheckState) annotate(pass *analysis.Pass) {
 // functions in this package (hence the iteration) and, because the driver
 // runs packages in dependency order, to every importing package.
 func (u *unitcheckState) infer(pass *analysis.Pass) {
-	type cand struct {
-		decl *ast.FuncDecl
-		obj  *types.Func
+	var cands []analysis.FuncDecl
+	for _, fn := range analysis.FuncDecls(pass) {
+		// Only functions whose first result is numeric and whose
+		// signature is not already pinned by the table or an annotation.
+		sig := fn.Obj.Type().(*types.Signature)
+		if sig.Results().Len() == 0 || !isNumericType(sig.Results().At(0).Type()) {
+			continue
+		}
+		if _, pinned := u.sigs[funcQName(fn.Obj)]; pinned {
+			continue
+		}
+		if _, pinned := pass.Facts.Get(fn.Obj, unitSigFact); pinned {
+			continue
+		}
+		cands = append(cands, fn)
 	}
-	var cands []cand
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			// Only functions whose first result is numeric and whose
-			// signature is not already pinned by the table or an
-			// annotation.
-			sig := obj.Type().(*types.Signature)
-			if sig.Results().Len() == 0 || !isNumericType(sig.Results().At(0).Type()) {
-				continue
-			}
-			if _, pinned := u.sigs[funcQName(obj)]; pinned {
-				continue
-			}
-			if _, pinned := pass.Facts.Get(obj, unitSigFact); pinned {
-				continue
-			}
-			cands = append(cands, cand{decl: fd, obj: obj})
+	result := func(s unitSig) Dim {
+		if len(s.results) == 0 {
+			return ""
+		}
+		return s.results[0]
+	}
+	analysis.InferSummaries(pass, cands, unitSigFact,
+		func(fn analysis.FuncDecl) unitSig {
+			return unitSig{results: []Dim{joinReturns(u.analyzeFunc(pass, fn.Decl, fn.Obj, false))}}
+		},
+		func(a, b unitSig) bool { return result(a) == result(b) })
+}
+
+// checkDecls reports every Decls entry of this package that resolves to no
+// declared object (a renamed field, or a method now promoted from an
+// embedded type): such an entry would silently seed nothing.
+func (u *unitcheckState) checkDecls(pass *analysis.Pass) {
+	var stale []string
+	for name := range u.cfg.Decls {
+		pkg, rest := splitQName(name)
+		if pkg != pass.Pkg.Path() {
+			continue
+		}
+		if typ, ok := strings.CutSuffix(rest, ".*"); ok {
+			rest = typ // "Type.*" needs only the type
+		}
+		if declaredObject(pass.Pkg, rest) == nil {
+			stale = append(stale, name)
 		}
 	}
-	for iter := 0; iter < 4; iter++ {
-		changed := false
-		for _, cd := range cands {
-			returns := u.analyzeFunc(pass, cd.decl, cd.obj, false)
-			inferred := joinReturns(returns)
-			cur := Dim("")
-			if v, ok := pass.Facts.Get(cd.obj, unitSigFact); ok {
-				if s, _ := v.(unitSig); len(s.results) > 0 {
-					cur = s.results[0]
-				}
-			}
-			if inferred != cur {
-				pass.Facts.Set(cd.obj, unitSigFact, unitSig{results: []Dim{inferred}})
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
+	sort.Strings(stale)
+	for _, name := range stale {
+		pass.Reportf(pass.Files[0].Name.Pos(),
+			"declaration-table entry %s names no declared object in package %s", name, pass.Pkg.Path())
 	}
 }
 
@@ -456,11 +459,7 @@ func (u *unitcheckState) reportPackage(pass *analysis.Pass) {
 // analyzeFunc runs the flow engine over one function declaration and
 // returns the dimensions of its return statements' first results.
 func (u *unitcheckState) analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl, obj *types.Func, report bool) []Dim {
-	cfg := u.cfgCache[fd]
-	if cfg == nil {
-		cfg = analysis.BuildCFG(fd.Body)
-		u.cfgCache[fd] = cfg
-	}
+	cfg := u.cfgs.Of(fd)
 	c := &unitChecker{u: u, pass: pass, scope: fd}
 	env := &unitEnv{vars: map[types.Object]Dim{}}
 	if obj != nil {

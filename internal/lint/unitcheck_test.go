@@ -11,7 +11,7 @@ import (
 // fixtureUnitConfig rebinds the dimension seeds to the hermetic unitfix
 // fixture package: the same conventions as the repository configuration,
 // with the declaration table pointing at the fixture's stand-in
-// conversions.
+// conversions, plus two stale entries the analyzer must report.
 func fixtureUnitConfig() lint.UnitConfig {
 	cfg := lint.DefaultUnitConfig()
 	cfg.Scope = []string{"unitfix"}
@@ -22,6 +22,9 @@ func fixtureUnitConfig() lint.UnitConfig {
 		"unitfix.hopCycles":   "-> cycles",
 		"unitfix.Timing.*":    "cycles",
 		"unitfix.Link.PortNS": "ns",
+		// Stale: no such field or function.
+		"unitfix.Link.RetryCycles": "cycles",
+		"unitfix.gone":             "-> cycles",
 	}
 	return cfg
 }

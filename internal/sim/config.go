@@ -84,8 +84,24 @@ func (c Config) Validate() error {
 	if c.LLCSliceBytes <= 0 || c.LLCAssoc <= 0 {
 		return fmt.Errorf("sim: config %q: LLC geometry unset", c.Name)
 	}
-	if c.Kind == CXLAttached && c.CXL.DDRChannels < 1 {
-		return fmt.Errorf("sim: config %q: CXL device needs >= 1 DDR channel", c.Name)
+	if c.Kind == CXLAttached {
+		// Out-of-envelope link parameters would not fail later: a zero
+		// goodput serializes in one cycle (an infinitely fast link).
+		// The negated comparisons reject NaN too.
+		x := c.CXL
+		switch {
+		case x.DDRChannels < 1:
+			return fmt.Errorf("sim: config %q: CXL device needs >= 1 DDR channel", c.Name)
+		case x.IngressDepth < 1:
+			return fmt.Errorf("sim: config %q: CXL ingress depth must be >= 1", c.Name)
+		case !(x.Link.RXGoodputGBs > 0) || !(x.Link.TXGoodputGBs > 0):
+			return fmt.Errorf("sim: config %q: CXL link goodput must be > 0 GB/s (rx %v, tx %v)",
+				c.Name, x.Link.RXGoodputGBs, x.Link.TXGoodputGBs)
+		case !(x.Link.PortNS >= 0):
+			return fmt.Errorf("sim: config %q: CXL port latency must be >= 0 ns (got %v)", c.Name, x.Link.PortNS)
+		case x.Link.ReqHeaderBytes < 1:
+			return fmt.Errorf("sim: config %q: CXL request header must be >= 1 byte", c.Name)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"coaxial/internal/calm"
@@ -46,6 +47,36 @@ func TestConfigValidation(t *testing.T) {
 	bad.CXL.DDRChannels = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("CXL device without DDR accepted")
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"zero ingress depth", func(c *Config) { c.CXL.IngressDepth = 0 }},
+		{"negative ingress depth", func(c *Config) { c.CXL.IngressDepth = -1 }},
+		{"zero RX goodput", func(c *Config) { c.CXL.Link.RXGoodputGBs = 0 }},
+		{"negative TX goodput", func(c *Config) { c.CXL.Link.TXGoodputGBs = -13 }},
+		{"NaN RX goodput", func(c *Config) { c.CXL.Link.RXGoodputGBs = math.NaN() }},
+		{"negative port latency", func(c *Config) { c.CXL.Link.PortNS = -1 }},
+		{"NaN port latency", func(c *Config) { c.CXL.Link.PortNS = math.NaN() }},
+		{"zero request header", func(c *Config) { c.CXL.Link.ReqHeaderBytes = 0 }},
+	} {
+		bad = Coaxial4x()
+		tc.mut(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	// The same link fields are ignored on direct-DDR configs, and a zero
+	// port latency (an ideal interface) is in the envelope.
+	ok := Baseline()
+	ok.CXL.IngressDepth = 0
+	ok.CXL.Link.RXGoodputGBs = 0
+	if err := ok.Validate(); err != nil {
+		t.Errorf("direct-DDR config rejected for unused CXL fields: %v", err)
+	}
+	if err := Coaxial4x().WithCXLPortNS(0).Validate(); err != nil {
+		t.Errorf("zero port latency rejected: %v", err)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 
 // ExternalBackend is the full memory-backend surface a System requires of
 // its channels: a memreq.Backend that also exposes DRAM activity counters
-// and a drain check. dram.Channel, cxl.Channel, and cxl.Port satisfy it.
+// and a drain check. dram.Channel, cxl.Port, and cxl.Channel (a Port on a
+// private device) satisfy it.
 // Exported so topology builders (internal/rack) can inject pre-built
 // backends — ports into shared pooled devices — via HostParams.
 type ExternalBackend interface {
@@ -75,7 +76,7 @@ const (
 
 // retirer is a backend that buffers requests dying inside it (writes whose
 // CAS retired with no completion callback) for the sequential retired
-// drain; dram.Channel and cxl.Channel both satisfy it.
+// drain; dram.Channel and cxl.Port (hence cxl.Channel) satisfy it.
 type retirer interface {
 	SetCollectRetired(bool)
 	DrainRetired(func(*memreq.Request))
@@ -368,7 +369,7 @@ func (s *System) drainRetired() {
 
 // SetClocking selects the time-advance strategy; the zero value is
 // EventDriven. Backends that support per-sub-component event skipping
-// (dram.Channel, cxl.Channel) follow the mode: lazy under EventDriven so
+// (dram.Channel, cxl.Port, cxl.Channel) follow the mode: lazy under EventDriven so
 // busy channels skip their inert sub-channels, naive under CycleByCycle so
 // the reference loop really does tick everything every cycle. Switching
 // after stepping has begun is unsupported.

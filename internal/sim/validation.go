@@ -55,9 +55,9 @@ func (s *System) EnableValidation() {
 }
 
 // forEachPending walks every request the memory system currently owns:
-// the spill retry queues plus each backend's internal queues (for CXL,
-// including the device-side DDR controllers and the response path). For
-// pooled-device ports the shared DDR controllers are covered by the
+// the spill retry queues plus each backend's internal queues (for a CXL
+// Channel, including its private device's DDR controllers and the response
+// path). For pooled-device ports the shared DDR controllers are covered by the
 // topology's registered walkers (AddPendingWalker) — the rack walks each
 // device once and dispatches by Request.Host — so a host with several
 // ports on one device still visits each request exactly once.
@@ -71,13 +71,10 @@ func (s *System) forEachPending(fn func(*memreq.Request)) {
 		}
 	}
 	for _, b := range s.backends {
-		switch t := b.(type) {
-		case *dram.Channel:
-			t.ForEachPending(fn)
-		case *cxl.Channel:
-			t.ForEachPending(fn)
-		case *cxl.Port:
-			t.ForEachPending(fn)
+		if w, ok := b.(interface {
+			ForEachPending(func(*memreq.Request))
+		}); ok {
+			w.ForEachPending(fn)
 		}
 	}
 	for _, w := range s.extraPending {
@@ -145,6 +142,12 @@ func (s *System) validationError() error {
 				label, si, r, cfg.ReadQueueDepth, w, cfg.WriteQueueDepth))
 		}
 	}
+	checkPort := func(label string, p *cxl.Port) {
+		if out := p.Outstanding(); out < 0 || out > p.IngressDepth() {
+			extra = append(extra, fmt.Sprintf(
+				"%s outstanding count %d outside [0, %d]", label, out, p.IngressDepth()))
+		}
+	}
 	for ch, b := range s.backends {
 		switch t := b.(type) {
 		case *dram.Channel:
@@ -152,10 +155,7 @@ func (s *System) validationError() error {
 				checkSub(fmt.Sprintf("ddr%d", ch), si, sub)
 			}
 		case *cxl.Channel:
-			if out := t.Outstanding(); out < 0 || out > t.IngressDepth() {
-				extra = append(extra, fmt.Sprintf(
-					"cxl%d outstanding count %d outside [0, %d]", ch, out, t.IngressDepth()))
-			}
+			checkPort(fmt.Sprintf("cxl%d", ch), t.Port)
 			for di, d := range t.DDR() {
 				for si, sub := range d.SubChannels() {
 					checkSub(fmt.Sprintf("cxl%d/ddr%d", ch, di), si, sub)
@@ -164,10 +164,7 @@ func (s *System) validationError() error {
 		case *cxl.Port:
 			// Shared-device DDR occupancy is checked by the rack, which
 			// owns the device; only the port-local bound is per-host.
-			if out := t.Outstanding(); out < 0 || out > t.IngressDepth() {
-				extra = append(extra, fmt.Sprintf(
-					"port%d outstanding count %d outside [0, %d]", ch, out, t.IngressDepth()))
-			}
+			checkPort(fmt.Sprintf("port%d", ch), t)
 		}
 	}
 
