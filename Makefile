@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race serve-test lint lint-baseline lint-mutations vet golden check bench perf-smoke
+.PHONY: build test race serve-test lint lint-baseline lint-mutations vet golden check bench perf-smoke report-check
 
 build:
 	$(GO) build ./...
@@ -86,5 +86,18 @@ perf-smoke:
 	 | $(GO) run ./cmd/coaxial-bench -check BENCH_pr10.json -factor 2 -alloc-factor 2
 	$(GO) test -run '^$$' -bench 'BenchmarkRunWindowRack$$' -benchtime 3x -count 2 -benchmem . \
 	 | $(GO) run ./cmd/coaxial-bench -check BENCH_pr14.json -factor 2 -alloc-factor 2
+
+# report-check regenerates the paper's evaluation end to end
+# (coaxial-report -all -quick, one deduplicated plan), prints its wall
+# time, strips the per-figure "[fig N regenerated in ...]" timing lines,
+# and diffs the rendered scoreboard against the checked-in
+# testdata/report/all_quick.golden. The binary and its output live in a
+# temporary directory, removed on exit.
+report-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && $(GO) build -o $$dir/coaxial-report ./cmd/coaxial-report && \
+	 start=$$(date +%s%N) && $$dir/coaxial-report -all -quick > $$dir/all_quick.txt && end=$$(date +%s%N) && \
+	 awk -v a=$$start -v b=$$end 'BEGIN { printf "coaxial-report -all -quick: %.1fs wall\n", (b-a)/1e9 }' && \
+	 grep -v '^  \[fig .* regenerated in .*\]$$' $$dir/all_quick.txt | diff -u testdata/report/all_quick.golden - && \
+	 echo "report-check: scoreboard matches testdata/report/all_quick.golden"
 
 check: vet lint build test

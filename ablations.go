@@ -1,6 +1,7 @@
 package coaxial
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -55,27 +56,21 @@ type ChannelScalingRow struct {
 // (1 MB/core, the 4x floorplan) on one workload, isolating how much of
 // COAXIAL's gain is pure bandwidth.
 func AblationChannelScaling(w Workload, counts []int, rc RunConfig) ([]ChannelScalingRow, error) {
-	base, err := Run(Baseline(), w, rc)
-	if err != nil {
-		return nil, err
-	}
-	var rows []ChannelScalingRow
-	for _, n := range counts {
+	return planOne(rc, func(p *Plan) func() ([]ChannelScalingRow, error) { return p.channelScaling(w, counts) })
+}
+
+func (p *Plan) channelScaling(w Workload, counts []int) func() ([]ChannelScalingRow, error) {
+	groups := make([][]SuiteJob, len(counts))
+	for i, n := range counts {
 		cfg := Coaxial4x()
 		cfg.Channels = n
 		cfg.Name = fmt.Sprintf("coaxial-%dch", n)
-		res, err := Run(cfg, w, rc)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ChannelScalingRow{
-			Channels: n,
-			Speedup:  Speedup(res, base),
-			UtilPct:  res.Utilization * 100,
-			QueueNS:  res.QueueNS,
-		})
+		groups[i] = rateJobs(w, Baseline(), cfg)
 	}
-	return rows, nil
+	return rows(p, groups, func(i int, res []Result) ChannelScalingRow {
+		return ChannelScalingRow{Channels: counts[i], Speedup: Speedup(res[1], res[0]),
+			UtilPct: res[1].Utilization * 100, QueueNS: res[1].QueueNS}
+	})
 }
 
 // ReportChannelScaling prints the channel ablation.
@@ -98,24 +93,18 @@ type CALMThresholdRow struct {
 // AblationCALMThreshold sweeps CALM_R's regulation threshold on COAXIAL-4x
 // for one workload (extends Fig. 7's 50/60/70% points to a full curve).
 func AblationCALMThreshold(w Workload, thresholds []float64, rc RunConfig) ([]CALMThresholdRow, error) {
-	serial, err := Run(Coaxial4x().WithCALM(CALMConfig{Kind: CALMOff}), w, rc)
-	if err != nil {
-		return nil, err
+	return planOne(rc, func(p *Plan) func() ([]CALMThresholdRow, error) { return p.calmThreshold(w, thresholds) })
+}
+
+func (p *Plan) calmThreshold(w Workload, thresholds []float64) func() ([]CALMThresholdRow, error) {
+	groups := make([][]SuiteJob, len(thresholds))
+	for i, r := range thresholds {
+		groups[i] = rateJobs(w, Coaxial4x().WithCALM(CALMConfig{Kind: CALMOff}), Coaxial4x().WithCALM(CALMR(r)))
 	}
-	var rows []CALMThresholdRow
-	for _, r := range thresholds {
-		res, err := Run(Coaxial4x().WithCALM(CALMR(r)), w, rc)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, CALMThresholdRow{
-			R:       r,
-			Speedup: Speedup(res, serial),
-			FPPct:   res.CALM.FPRate() * 100,
-			FNPct:   res.CALM.FNRate() * 100,
-		})
-	}
-	return rows, nil
+	return rows(p, groups, func(i int, res []Result) CALMThresholdRow {
+		return CALMThresholdRow{R: thresholds[i], Speedup: Speedup(res[1], res[0]),
+			FPPct: res[1].CALM.FPRate() * 100, FNPct: res[1].CALM.FNRate() * 100}
+	})
 }
 
 // ReportCALMThreshold prints the CALM_R threshold ablation.
@@ -143,35 +132,32 @@ type MSHRRow struct {
 // AblationMSHRs sweeps the per-core miss-level-parallelism budget: COAXIAL
 // needs MLP to exploit its bandwidth; the baseline saturates early.
 func AblationMSHRs(w Workload, budgets []int, rc RunConfig) ([]MSHRRow, error) {
-	var rows []MSHRRow
-	for _, m := range budgets {
-		b := Baseline()
-		b.MSHRs = m
+	return planOne(rc, func(p *Plan) func() ([]MSHRRow, error) { return p.mshrs(w, budgets) })
+}
+
+func (p *Plan) mshrs(w Workload, budgets []int) func() ([]MSHRRow, error) {
+	groups := make([][]SuiteJob, len(budgets))
+	for i, m := range budgets {
+		b, c := Baseline(), Coaxial4x()
+		b.MSHRs, c.MSHRs = m, m
 		b.Name = fmt.Sprintf("ddr-baseline@%dmshr", m)
-		c := Coaxial4x()
-		c.MSHRs = m
 		c.Name = fmt.Sprintf("coaxial-4x@%dmshr", m)
-		rb, err := Run(b, w, rc)
-		if err != nil {
-			return nil, err
-		}
-		rc2, err := Run(c, w, rc)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, MSHRRow{
-			MSHRs:        m,
-			BaselineIPC:  rb.IPC,
-			CoaxialIPC:   rc2.IPC,
-			CoaxSpeedup:  Speedup(rc2, rb),
-			BaseUtilPct:  rb.Utilization * 100,
-			CoaxUtilPct:  rc2.Utilization * 100,
-			BaseQueueNS:  rb.QueueNS,
-			CoaxQueueNS:  rc2.QueueNS,
-			BaseTotalLat: rb.TotalNS,
-		})
+		groups[i] = rateJobs(w, b, c)
 	}
-	return rows, nil
+	return rows(p, groups, func(i int, res []Result) MSHRRow {
+		rb, rc := res[0], res[1]
+		return MSHRRow{
+			MSHRs:        budgets[i],
+			BaselineIPC:  rb.IPC,
+			CoaxialIPC:   rc.IPC,
+			CoaxSpeedup:  Speedup(rc, rb),
+			BaseUtilPct:  rb.Utilization * 100,
+			CoaxUtilPct:  rc.Utilization * 100,
+			BaseQueueNS:  rb.QueueNS,
+			CoaxQueueNS:  rc.QueueNS,
+			BaseTotalLat: rb.TotalNS,
+		}
+	})
 }
 
 // ReportMSHRs prints the MSHR ablation.
@@ -199,34 +185,32 @@ type AblationSummary struct {
 // RunAblations executes the full extension suite on one representative
 // bandwidth-bound workload.
 func RunAblations(w Workload, rc RunConfig) (AblationSummary, error) {
-	var s AblationSummary
-	s.Workload = w.Params.Name
-	var err error
-	if s.Capacity, err = CapacityStudy(); err != nil {
-		return s, err
+	return planOne(rc, func(p *Plan) func() (AblationSummary, error) { return p.Ablations(w) })
+}
+
+// Ablations declares the extension suite on p (see RunAblations). The
+// capacity study and the refresh ablation simulate no system; they run in
+// the reader.
+func (p *Plan) Ablations(w Workload) func() (AblationSummary, error) {
+	channels := p.channelScaling(w, []int{1, 2, 3, 4, 5})
+	calm := p.calmThreshold(w, []float64{0.3, 0.5, 0.6, 0.7, 0.8, 0.9})
+	mshrs := p.mshrs(w, []int{4, 8, 16, 32})
+	isoPin := p.isoPin([]Workload{w})
+	drain := p.writeDrain(w, [][2]int{{8, 2}, {36, 12}, {46, 40}})
+	bankPerm := p.bankPermutation(w)
+	return func() (AblationSummary, error) {
+		s := AblationSummary{Workload: w.Params.Name}
+		var errs [8]error
+		s.Capacity, errs[0] = CapacityStudy()
+		s.Channels, errs[1] = channels()
+		s.CALM, errs[2] = calm()
+		s.MSHRs, errs[3] = mshrs()
+		s.IsoPin, errs[4] = isoPin()
+		s.Drain, errs[5] = drain()
+		s.BankPerm, errs[6] = bankPerm()
+		s.Refresh, errs[7] = AblationSameBankRefresh([]float64{0.1, 0.3, 0.5, 0.7}, 6000, p.r.rc.Seed)
+		return s, errors.Join(errs[:]...)
 	}
-	if s.Channels, err = AblationChannelScaling(w, []int{1, 2, 3, 4, 5}, rc); err != nil {
-		return s, err
-	}
-	if s.CALM, err = AblationCALMThreshold(w, []float64{0.3, 0.5, 0.6, 0.7, 0.8, 0.9}, rc); err != nil {
-		return s, err
-	}
-	if s.MSHRs, err = AblationMSHRs(w, []int{4, 8, 16, 32}, rc); err != nil {
-		return s, err
-	}
-	if s.IsoPin, err = AblationIsoPin([]Workload{w}, rc); err != nil {
-		return s, err
-	}
-	if s.Drain, err = AblationWriteDrain(w, [][2]int{{8, 2}, {36, 12}, {46, 40}}, rc); err != nil {
-		return s, err
-	}
-	if s.BankPerm, err = AblationBankPermutation(w, rc); err != nil {
-		return s, err
-	}
-	if s.Refresh, err = AblationSameBankRefresh([]float64{0.1, 0.3, 0.5, 0.7}, 6000, rc.Seed); err != nil {
-		return s, err
-	}
-	return s, nil
 }
 
 // ReportAblations prints everything in RunAblations' summary.
@@ -261,37 +245,25 @@ type BankPermutationRow struct {
 // the baseline and COAXIAL-4x: without it, per-core address-space bases
 // and row-sweeping streams pile onto few banks, serializing on tRC.
 func AblationBankPermutation(w Workload, rc RunConfig) ([]BankPermutationRow, error) {
-	mk := []struct {
-		name string
-		cfg  Config
-	}{
-		{"ddr-baseline", Baseline()},
-		{"coaxial-4x", Coaxial4x()},
-	}
-	var rows []BankPermutationRow
-	for _, m := range mk {
-		perm, err := Run(m.cfg, w, rc)
-		if err != nil {
-			return nil, err
-		}
-		lin := m.cfg
+	return planOne(rc, func(p *Plan) func() ([]BankPermutationRow, error) { return p.bankPermutation(w) })
+}
+
+func (p *Plan) bankPermutation(w Workload) func() ([]BankPermutationRow, error) {
+	perms := []Config{Baseline(), Coaxial4x()}
+	groups := make([][]SuiteJob, len(perms))
+	for i, perm := range perms {
+		lin := perm
 		lin.DDR.DisableBankPermutation = true
-		lin.Name = m.name + "+linearbank"
-		linRes, err := Run(lin, w, rc)
-		if err != nil {
-			return nil, err
-		}
-		row := BankPermutationRow{
-			Config:      m.name,
-			PermutedIPC: perm.IPC,
-			LinearIPC:   linRes.IPC,
-		}
-		if linRes.IPC > 0 {
-			row.Gain = perm.IPC / linRes.IPC
-		}
-		rows = append(rows, row)
+		lin.Name = perm.Name + "+linearbank"
+		groups[i] = rateJobs(w, perm, lin)
 	}
-	return rows, nil
+	return rows(p, groups, func(i int, res []Result) BankPermutationRow {
+		row := BankPermutationRow{Config: perms[i].Name, PermutedIPC: res[0].IPC, LinearIPC: res[1].IPC}
+		if row.LinearIPC > 0 {
+			row.Gain = row.PermutedIPC / row.LinearIPC
+		}
+		return row
+	})
 }
 
 // ReportBankPermutation prints the mapping ablation.
@@ -314,27 +286,13 @@ type IsoPinRow struct {
 // AblationIsoPin evaluates whether COAXIAL-5x's extra channel and restored
 // LLC justify its 17% area premium.
 func AblationIsoPin(workloads []Workload, rc RunConfig) ([]IsoPinRow, error) {
-	var rows []IsoPinRow
-	for _, w := range workloads {
-		base, err := Run(Baseline(), w, rc)
-		if err != nil {
-			return nil, err
-		}
-		c4, err := Run(Coaxial4x(), w, rc)
-		if err != nil {
-			return nil, err
-		}
-		c5, err := Run(Coaxial5x(), w, rc)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, IsoPinRow{
-			Workload: w.Params.Name,
-			Speedup4: Speedup(c4, base),
-			Speedup5: Speedup(c5, base),
-		})
-	}
-	return rows, nil
+	return planOne(rc, func(p *Plan) func() ([]IsoPinRow, error) { return p.isoPin(workloads) })
+}
+
+func (p *Plan) isoPin(workloads []Workload) func() ([]IsoPinRow, error) {
+	return gridRows(p, []Config{Baseline(), Coaxial4x(), Coaxial5x()}, workloads, func(w Workload, res []Result) IsoPinRow {
+		return IsoPinRow{Workload: w.Params.Name, Speedup4: Speedup(res[1], res[0]), Speedup5: Speedup(res[2], res[0])}
+	})
 }
 
 // ReportIsoPin prints the iso-pin ablation.
@@ -357,18 +315,20 @@ type WriteDrainRow struct {
 // the baseline with a write-heavy workload: aggressive draining steals read
 // slots, lazy draining risks write-queue backpressure.
 func AblationWriteDrain(w Workload, marks [][2]int, rc RunConfig) ([]WriteDrainRow, error) {
-	var rows []WriteDrainRow
-	for _, m := range marks {
+	return planOne(rc, func(p *Plan) func() ([]WriteDrainRow, error) { return p.writeDrain(w, marks) })
+}
+
+func (p *Plan) writeDrain(w Workload, marks [][2]int) func() ([]WriteDrainRow, error) {
+	groups := make([][]SuiteJob, len(marks))
+	for i, m := range marks {
 		cfg := Baseline()
 		cfg.DDR.WriteHigh, cfg.DDR.WriteLow = m[0], m[1]
 		cfg.Name = fmt.Sprintf("ddr-baseline@wd%d/%d", m[0], m[1])
-		res, err := Run(cfg, w, rc)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, WriteDrainRow{High: m[0], Low: m[1], IPC: res.IPC, QueueNS: res.QueueNS})
+		groups[i] = rateJobs(w, cfg)
 	}
-	return rows, nil
+	return rows(p, groups, func(i int, res []Result) WriteDrainRow {
+		return WriteDrainRow{High: marks[i][0], Low: marks[i][1], IPC: res[0].IPC, QueueNS: res[0].QueueNS}
+	})
 }
 
 // ReportWriteDrain prints the write-drain ablation.

@@ -1,6 +1,13 @@
 // Command coaxial-report regenerates the paper's figures and tables as
-// text: it runs the required simulations and prints the same rows/series
-// each figure reports.
+// text, printing the same rows/series each figure reports.
+//
+// Every selected figure, table and ablation declares its simulation
+// points on one coaxial.Plan; the plan runs each distinct point once on
+// one Runner (so the main sweep behind Figs. 2b/5/9 and Tables IV/V, and
+// the points Figs. 7, 8, 10 and 11 share with it, simulate once), then
+// the outputs print in order. The requested and distinct point counts and
+// the plan's wall time go to stderr; each "[fig N regenerated in ...]"
+// line times only that figure's own rendering and non-plan work.
 //
 // Usage:
 //
@@ -13,8 +20,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -44,29 +53,39 @@ func main() {
 		rc.MeasureInstr = *measure
 	}
 
-	r := &reporter{rc: rc, workloads: workloads, quick: *quick}
-
-	if *all {
+	r := &reporter{rc: rc, workloads: workloads, quick: *quick,
+		plan: coaxial.NewRunner(coaxial.WithRunConfig(rc)).Plan()}
+	var outputs []func()
+	switch {
+	case *all:
 		for _, f := range []string{"1", "2a", "2b", "5", "6", "7", "8", "9", "10", "11"} {
-			r.figure(f)
+			outputs = append(outputs, r.figure(f))
 		}
 		for _, t := range []string{"1", "2", "3", "4", "5"} {
-			r.table(t)
+			outputs = append(outputs, r.table(t))
 		}
-		return
-	}
-	if *fig != "" {
-		r.figure(*fig)
-	}
-	if *table != "" {
-		r.table(*table)
-	}
-	if *ablations {
-		r.ablations()
-	}
-	if *fig == "" && *table == "" && !*ablations {
+	case *fig == "" && *table == "" && !*ablations:
 		flag.Usage()
 		os.Exit(2)
+	default:
+		if *fig != "" {
+			outputs = append(outputs, r.figure(*fig))
+		}
+		if *table != "" {
+			outputs = append(outputs, r.table(*table))
+		}
+		if *ablations {
+			outputs = append(outputs, r.ablations())
+		}
+	}
+
+	requested, distinct := r.plan.Points()
+	start := time.Now()
+	r.plan.Run(context.Background())
+	fmt.Fprintf(os.Stderr, "coaxial-report: plan: %d points requested, %d distinct, simulated in %.1fs\n",
+		requested, distinct, time.Since(start).Seconds())
+	for _, out := range outputs {
+		out()
 	}
 }
 
@@ -74,46 +93,36 @@ type reporter struct {
 	rc        coaxial.RunConfig
 	workloads []coaxial.Workload
 	quick     bool
-
-	// mainRows caches the baseline-vs-4x sweep shared by several outputs.
-	mainRows []coaxial.PairRow
+	plan      *coaxial.Plan
 }
 
-func (r *reporter) main() []coaxial.PairRow {
-	if r.mainRows == nil {
-		rows, err := coaxial.MainResults(r.workloads, r.rc)
-		check(err)
-		r.mainRows = rows
-	}
-	return r.mainRows
-}
-
-func (r *reporter) figure(f string) {
-	start := time.Now()
+// figure declares figure f's points and returns the function printing it.
+func (r *reporter) figure(f string) func() {
+	var show func()
 	switch f {
 	case "1":
-		coaxial.ReportFig1(os.Stdout)
+		show = func() { coaxial.ReportFig1(os.Stdout) }
 	case "2a":
-		utils := []float64{0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-		reqs := 20000
-		if r.quick {
-			reqs = 4000
+		show = func() {
+			utils := []float64{0.02, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
+			reqs := 20000
+			if r.quick {
+				reqs = 4000
+			}
+			pts, err := coaxial.Fig2aLoadLatency(utils, reqs/10, reqs, r.rc.Seed)
+			check(err)
+			coaxial.ReportFig2a(os.Stdout, pts)
 		}
-		pts, err := coaxial.Fig2aLoadLatency(utils, reqs/10, reqs, r.rc.Seed)
-		check(err)
-		coaxial.ReportFig2a(os.Stdout, pts)
 	case "2b":
-		coaxial.ReportFig2b(os.Stdout, r.main())
+		show = printRows(r.plan.MainResults(r.workloads), coaxial.ReportFig2b)
 	case "5":
-		coaxial.ReportFig5(os.Stdout, r.main())
+		show = printRows(r.plan.MainResults(r.workloads), coaxial.ReportFig5)
 	case "6":
 		n := 10
 		if r.quick {
 			n = 3
 		}
-		rows, err := coaxial.Fig6Mixes(n, r.rc)
-		check(err)
-		coaxial.ReportFig6(os.Stdout, rows)
+		show = printRows(r.plan.Fig6Mixes(n), coaxial.ReportFig6)
 	case "7":
 		wl := r.workloads
 		if !r.quick && len(wl) > 8 {
@@ -122,58 +131,74 @@ func (r *reporter) figure(f string) {
 			// editing the subset here, but the default keeps it tractable.
 			wl = coaxial.RepresentativeWorkloads()
 		}
-		rows, err := coaxial.Fig7CALM(wl, r.rc)
-		check(err)
-		coaxial.ReportFig7(os.Stdout, rows)
+		show = printRows(r.plan.Fig7CALM(wl), coaxial.ReportFig7)
 	case "8":
-		rows, err := coaxial.Fig8Configs(r.workloads, r.rc)
-		check(err)
-		coaxial.ReportFig8(os.Stdout, rows)
+		show = printRows(r.plan.Fig8Configs(r.workloads), coaxial.ReportFig8)
 	case "9":
-		coaxial.ReportFig9(os.Stdout, r.main())
+		show = printRows(r.plan.MainResults(r.workloads), coaxial.ReportFig9)
 	case "10":
-		rows, err := coaxial.Fig10LatencySensitivity(r.workloads, r.rc)
-		check(err)
-		coaxial.ReportFig10(os.Stdout, rows)
+		show = printRows(r.plan.Fig10LatencySensitivity(r.workloads), coaxial.ReportFig10)
 	case "11":
-		rows, err := coaxial.Fig11Utilization(r.workloads, r.rc)
-		check(err)
-		coaxial.ReportFig11(os.Stdout, rows)
+		show = printRows(r.plan.Fig11Utilization(r.workloads), coaxial.ReportFig11)
 	default:
 		fmt.Fprintf(os.Stderr, "coaxial-report: unknown figure %q\n", f)
 		os.Exit(2)
 	}
-	fmt.Printf("  [fig %s regenerated in %.1fs]\n\n", f, time.Since(start).Seconds())
+	return func() {
+		start := time.Now()
+		show()
+		fmt.Printf("  [fig %s regenerated in %.1fs]\n\n", f, time.Since(start).Seconds())
+	}
 }
 
-func (r *reporter) table(t string) {
+// printRows returns a printer rendering a driver's rows once the plan ran.
+func printRows[T any](rows func() (T, error), render func(io.Writer, T)) func() {
+	return func() {
+		v, err := rows()
+		check(err)
+		render(os.Stdout, v)
+	}
+}
+
+// table declares table t's points and returns the function printing it.
+func (r *reporter) table(t string) func() {
+	var show func()
 	switch t {
 	case "1":
-		coaxial.ReportTableI(os.Stdout)
+		show = func() { coaxial.ReportTableI(os.Stdout) }
 	case "2":
-		coaxial.ReportTableII(os.Stdout)
+		show = func() { coaxial.ReportTableII(os.Stdout) }
 	case "3":
-		coaxial.ReportTableIII(os.Stdout)
+		show = func() { coaxial.ReportTableIII(os.Stdout) }
 	case "4":
-		coaxial.ReportTableIV(os.Stdout, r.main(), r.workloads)
+		show = printRows(r.plan.MainResults(r.workloads), func(w io.Writer, rows []coaxial.PairRow) {
+			coaxial.ReportTableIV(w, rows, r.workloads)
+		})
 	case "5":
-		base, coax := coaxial.TableVPower(r.main())
-		coaxial.ReportTableV(os.Stdout, base, coax)
+		show = printRows(r.plan.MainResults(r.workloads), func(w io.Writer, rows []coaxial.PairRow) {
+			base, coax := coaxial.TableVPower(rows)
+			coaxial.ReportTableV(w, base, coax)
+		})
 	default:
 		fmt.Fprintf(os.Stderr, "coaxial-report: unknown table %q\n", t)
 		os.Exit(2)
 	}
-	fmt.Println()
+	return func() {
+		show()
+		fmt.Println()
+	}
 }
 
-func (r *reporter) ablations() {
-	start := time.Now()
+// ablations declares the extension suite and returns its printer.
+func (r *reporter) ablations() func() {
 	w, err := coaxial.WorkloadByName("stream-triad")
 	check(err)
-	sum, err := coaxial.RunAblations(w, r.rc)
-	check(err)
-	coaxial.ReportAblations(os.Stdout, sum)
-	fmt.Printf("  [ablations completed in %.1fs]\n\n", time.Since(start).Seconds())
+	sum := r.plan.Ablations(w)
+	return func() {
+		start := time.Now()
+		printRows(sum, coaxial.ReportAblations)()
+		fmt.Printf("  [ablations completed in %.1fs]\n\n", time.Since(start).Seconds())
+	}
 }
 
 func check(err error) {

@@ -20,6 +20,7 @@ package coaxial
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"coaxial/internal/calm"
@@ -142,22 +143,72 @@ func RunRack(cfg RackConfig, workloads [][]Workload, rc RunConfig) (RackResult, 
 	return NewRunner(WithRunConfig(rc)).RunRack(context.Background(), cfg, workloads)
 }
 
-// SuiteJob names one experiment for RunSuite: a (config, workload)
-// single-system run, or — when Rack is non-nil — a whole rack topology
-// fed by HostWorkloads. Rack jobs report through the same []Result slot
-// as single-host jobs via RackResult.Summary (per-core IPCs concatenated
-// across hosts, traffic summed); callers needing per-device detail run
-// Runner.RunRack directly.
+// SuiteJob names one simulation point for RunSuite or a Plan: a
+// single-system run of Config with Workloads[i] on core i (or, in the
+// paper's rate mode, Workload on every active core), or — when Rack is
+// non-nil — a whole rack topology fed by HostWorkloads. Rack jobs report
+// through the same []Result slot as single-host jobs via
+// RackResult.Summary (per-core IPCs concatenated across hosts, traffic
+// summed); callers needing per-device detail run Runner.RunRack directly.
 type SuiteJob struct {
 	Config   Config
 	Workload Workload
+	// Workloads, when non-empty, assigns core i Workloads[i] (one entry
+	// per active core) in place of the rate-mode Workload.
+	Workloads []Workload
 
-	// Rack, when non-nil, makes this a rack job; Config and Workload are
-	// ignored in favor of the topology and HostWorkloads.
+	// Rack, when non-nil, makes this a rack job; Config and the workloads
+	// are ignored in favor of the topology and HostWorkloads.
 	Rack *RackConfig
 	// HostWorkloads assigns rack workloads: HostWorkloads[h] feeds host h,
 	// one entry per active core.
 	HostWorkloads [][]Workload
+}
+
+// perCore returns a single-system job's per-core workload assignment.
+func (j SuiteJob) perCore() []Workload {
+	if len(j.Workloads) > 0 {
+		return j.Workloads
+	}
+	n := j.Config.ActiveCores
+	if n == 0 {
+		n = j.Config.Cores
+	}
+	wl := make([]Workload, max(n, 0))
+	for i := range wl {
+		wl[i] = j.Workload
+	}
+	return wl
+}
+
+// Key fingerprints the simulation j runs under rc: jobs with equal keys
+// are the same simulation bit for bit, so a Plan runs them once and
+// coaxial-serve shares one in-flight execution between them. The key
+// covers every field of the config or rack topology, the per-core (or
+// per-host) workloads and rc, except three things no simulated quantity
+// reads: config and rack names (each consumer stamps the name it asked
+// for back onto its copy of the Result), ActiveCores 0 versus Cores (both
+// mean every core) and the progress observer.
+func (j SuiteJob) Key(rc RunConfig) string {
+	rc.OnProgress = nil
+	if j.Rack == nil {
+		return fmt.Sprintf("single|%+v|%+v|%+v", anonymous(j.Config), j.perCore(), rc)
+	}
+	rk := *j.Rack
+	rk.Name, rk.Hosts = "", make([]Config, len(j.Rack.Hosts))
+	for h, c := range j.Rack.Hosts {
+		rk.Hosts[h] = anonymous(c)
+	}
+	return fmt.Sprintf("rack|%+v|%+v|%+v", rk, j.HostWorkloads, rc)
+}
+
+// anonymous strips what Key ignores from a config.
+func anonymous(c Config) Config {
+	c.Name = ""
+	if c.ActiveCores == 0 {
+		c.ActiveCores = c.Cores
+	}
+	return c
 }
 
 // RunSuite executes jobs across rc.Workers workers (GOMAXPROCS when zero),

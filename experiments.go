@@ -1,8 +1,6 @@
 package coaxial
 
 import (
-	"fmt"
-
 	"coaxial/internal/area"
 	"coaxial/internal/dram"
 	"coaxial/internal/power"
@@ -13,8 +11,10 @@ import (
 
 // This file hosts the experiment drivers that regenerate each figure and
 // table of the paper's evaluation (see DESIGN.md's experiment index).
-// Each driver is self-contained: it runs the simulations it needs and
-// returns typed rows; the rendering lives in report.go.
+// Each driver declares the simulation points it needs on a Plan and reads
+// its typed rows back once the plan has run (plan.go); the package-level
+// functions run one driver as its own plan. The rendering lives in
+// report.go.
 
 // PairRow is one workload's (baseline, variant) measurement pair.
 type PairRow struct {
@@ -27,28 +27,23 @@ type PairRow struct {
 // MainResults runs the baseline and COAXIAL-4x across the given workloads
 // (Fig. 5; its baseline side is also Fig. 2b and Fig. 9, and Table IV).
 func MainResults(workloads []Workload, rc RunConfig) ([]PairRow, error) {
-	return ComparePair(Baseline(), Coaxial4x(), workloads, rc)
+	return planOne(rc, func(p *Plan) func() ([]PairRow, error) { return p.MainResults(workloads) })
+}
+
+// MainResults declares the main sweep on p.
+func (p *Plan) MainResults(workloads []Workload) func() ([]PairRow, error) {
+	return p.comparePair(Baseline(), Coaxial4x(), workloads)
 }
 
 // ComparePair runs two configurations across workloads and pairs results.
 func ComparePair(base, variant Config, workloads []Workload, rc RunConfig) ([]PairRow, error) {
-	jobs := make([]SuiteJob, 0, 2*len(workloads))
-	for _, w := range workloads {
-		jobs = append(jobs, SuiteJob{Config: base, Workload: w}, SuiteJob{Config: variant, Workload: w})
-	}
-	results, errs := RunSuite(jobs, rc)
-	rows := make([]PairRow, 0, len(workloads))
-	for i, w := range workloads {
-		if errs[2*i] != nil {
-			return nil, fmt.Errorf("%s on %s: %w", base.Name, w.Params.Name, errs[2*i])
-		}
-		if errs[2*i+1] != nil {
-			return nil, fmt.Errorf("%s on %s: %w", variant.Name, w.Params.Name, errs[2*i+1])
-		}
-		b, c := results[2*i], results[2*i+1]
-		rows = append(rows, PairRow{Workload: w.Params.Name, Base: b, Coax: c, Speedup: Speedup(c, b)})
-	}
-	return rows, nil
+	return planOne(rc, func(p *Plan) func() ([]PairRow, error) { return p.comparePair(base, variant, workloads) })
+}
+
+func (p *Plan) comparePair(base, variant Config, workloads []Workload) func() ([]PairRow, error) {
+	return gridRows(p, []Config{base, variant}, workloads, func(w Workload, res []Result) PairRow {
+		return PairRow{Workload: w.Params.Name, Base: res[0], Coax: res[1], Speedup: Speedup(res[1], res[0])}
+	})
 }
 
 // MeanSpeedup returns the arithmetic mean speedup over rows (the paper's
@@ -91,29 +86,26 @@ type MixRow struct {
 // Fig6Mixes evaluates n random 12-workload mixes on baseline vs
 // COAXIAL-4x.
 func Fig6Mixes(n int, rc RunConfig) ([]MixRow, error) {
+	return planOne(rc, func(p *Plan) func() ([]MixRow, error) { return p.Fig6Mixes(n) })
+}
+
+// Fig6Mixes declares the Fig. 6 mixes on p.
+func (p *Plan) Fig6Mixes(n int) func() ([]MixRow, error) {
 	base, coax := Baseline(), Coaxial4x()
-	rows := make([]MixRow, 0, n)
-	for i := 0; i < n; i++ {
+	groups := make([][]SuiteJob, n)
+	for i := range groups {
 		wl := MixWorkloads(i, base.Cores)
-		b, err := RunMix(base, wl, rc)
-		if err != nil {
-			return nil, fmt.Errorf("mix %d baseline: %w", i, err)
-		}
-		c, err := RunMix(coax, wl, rc)
-		if err != nil {
-			return nil, fmt.Errorf("mix %d coaxial: %w", i, err)
-		}
+		groups[i] = []SuiteJob{{Config: base, Workloads: wl}, {Config: coax, Workloads: wl}}
+	}
+	return rows(p, groups, func(i int, res []Result) MixRow {
+		wl := groups[i][0].Workloads
 		names := make([]string, len(wl))
 		for j, w := range wl {
 			names[j] = w.Params.Name
 		}
-		rows = append(rows, MixRow{
-			Mix: i, Names: names, Base: b, Coax: c,
-			Speedup:  PerCoreSpeedupGeomean(c, b),
-			MeanIPCx: Speedup(c, b),
-		})
-	}
-	return rows, nil
+		return MixRow{Mix: i, Names: names, Base: res[0], Coax: res[1],
+			Speedup: PerCoreSpeedupGeomean(res[1], res[0]), MeanIPCx: Speedup(res[1], res[0])}
+	})
 }
 
 // CALMVariant names one Fig. 7 mechanism.
@@ -148,30 +140,25 @@ type Fig7Row struct {
 
 // Fig7CALM runs the CALM mechanism study on the given workloads.
 func Fig7CALM(workloads []Workload, rc RunConfig) ([]Fig7Row, error) {
-	variants := Fig7Variants()
-	rows := make([]Fig7Row, 0, len(workloads))
-	for _, w := range workloads {
-		row := Fig7Row{Workload: w.Params.Name}
-		serialBase, err := Run(Baseline().WithCALM(variants[0].Cfg), w, rc)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range variants {
-			b, err := Run(Baseline().WithCALM(v.Cfg), w, rc)
-			if err != nil {
-				return nil, err
-			}
-			c, err := Run(Coaxial4x().WithCALM(v.Cfg), w, rc)
-			if err != nil {
-				return nil, err
-			}
-			row.BaseSpeedup = append(row.BaseSpeedup, Speedup(b, serialBase))
-			row.CoaxSpeedup = append(row.CoaxSpeedup, Speedup(c, serialBase))
-			row.CoaxDecisions = append(row.CoaxDecisions, c.CALM)
-		}
-		rows = append(rows, row)
+	return planOne(rc, func(p *Plan) func() ([]Fig7Row, error) { return p.Fig7CALM(workloads) })
+}
+
+// Fig7CALM declares the CALM study on p. Every speedup is over the serial
+// baseline, variant 0's baseline point.
+func (p *Plan) Fig7CALM(workloads []Workload) func() ([]Fig7Row, error) {
+	var cfgs []Config
+	for _, v := range Fig7Variants() {
+		cfgs = append(cfgs, Baseline().WithCALM(v.Cfg), Coaxial4x().WithCALM(v.Cfg))
 	}
-	return rows, nil
+	return gridRows(p, cfgs, workloads, func(w Workload, res []Result) Fig7Row {
+		row := Fig7Row{Workload: w.Params.Name}
+		for i := 0; i < len(res); i += 2 {
+			row.BaseSpeedup = append(row.BaseSpeedup, Speedup(res[i], res[0]))
+			row.CoaxSpeedup = append(row.CoaxSpeedup, Speedup(res[i+1], res[0]))
+			row.CoaxDecisions = append(row.CoaxDecisions, res[i+1].CALM)
+		}
+		return row
+	})
 }
 
 // Fig8Row compares the alternative COAXIAL designs for one workload.
@@ -184,30 +171,16 @@ type Fig8Row struct {
 
 // Fig8Configs evaluates COAXIAL-2x/-4x/-asym against the baseline.
 func Fig8Configs(workloads []Workload, rc RunConfig) ([]Fig8Row, error) {
+	return planOne(rc, func(p *Plan) func() ([]Fig8Row, error) { return p.Fig8Configs(workloads) })
+}
+
+// Fig8Configs declares the design comparison on p.
+func (p *Plan) Fig8Configs(workloads []Workload) func() ([]Fig8Row, error) {
 	cfgs := []Config{Baseline(), Coaxial2x(), Coaxial4x(), CoaxialAsym()}
-	jobs := make([]SuiteJob, 0, len(cfgs)*len(workloads))
-	for _, w := range workloads {
-		for _, c := range cfgs {
-			jobs = append(jobs, SuiteJob{Config: c, Workload: w})
-		}
-	}
-	results, errs := RunSuite(jobs, rc)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	rows := make([]Fig8Row, 0, len(workloads))
-	for i, w := range workloads {
-		base := results[i*len(cfgs)]
-		rows = append(rows, Fig8Row{
-			Workload: w.Params.Name,
-			Speedup2: Speedup(results[i*len(cfgs)+1], base),
-			Speedup4: Speedup(results[i*len(cfgs)+2], base),
-			SpeedupA: Speedup(results[i*len(cfgs)+3], base),
-		})
-	}
-	return rows, nil
+	return gridRows(p, cfgs, workloads, func(w Workload, res []Result) Fig8Row {
+		return Fig8Row{Workload: w.Params.Name,
+			Speedup2: Speedup(res[1], res[0]), Speedup4: Speedup(res[2], res[0]), SpeedupA: Speedup(res[3], res[0])}
+	})
 }
 
 // Fig10Row is the CXL latency-premium sensitivity for one workload.
@@ -220,35 +193,21 @@ type Fig10Row struct {
 
 // Fig10LatencySensitivity evaluates COAXIAL-4x at 50/70/10 ns premiums.
 func Fig10LatencySensitivity(workloads []Workload, rc RunConfig) ([]Fig10Row, error) {
+	return planOne(rc, func(p *Plan) func() ([]Fig10Row, error) { return p.Fig10LatencySensitivity(workloads) })
+}
+
+// Fig10LatencySensitivity declares the latency-premium study on p.
+func (p *Plan) Fig10LatencySensitivity(workloads []Workload) func() ([]Fig10Row, error) {
 	cfgs := []Config{
 		Baseline(),
 		Coaxial4x(),                     // 4 x 12.5 = 50 ns
 		Coaxial4x().WithCXLPortNS(17.5), // 70 ns
 		Coaxial4x().WithCXLPortNS(2.5),  // 10 ns
 	}
-	jobs := make([]SuiteJob, 0, len(cfgs)*len(workloads))
-	for _, w := range workloads {
-		for _, c := range cfgs {
-			jobs = append(jobs, SuiteJob{Config: c, Workload: w})
-		}
-	}
-	results, errs := RunSuite(jobs, rc)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	rows := make([]Fig10Row, 0, len(workloads))
-	for i, w := range workloads {
-		base := results[i*len(cfgs)]
-		rows = append(rows, Fig10Row{
-			Workload:  w.Params.Name,
-			Speedup50: Speedup(results[i*len(cfgs)+1], base),
-			Speedup70: Speedup(results[i*len(cfgs)+2], base),
-			Speedup10: Speedup(results[i*len(cfgs)+3], base),
-		})
-	}
-	return rows, nil
+	return gridRows(p, cfgs, workloads, func(w Workload, res []Result) Fig10Row {
+		return Fig10Row{Workload: w.Params.Name,
+			Speedup50: Speedup(res[1], res[0]), Speedup70: Speedup(res[2], res[0]), Speedup10: Speedup(res[3], res[0])}
+	})
 }
 
 // Fig11Row is the core-utilization sensitivity for one workload: COAXIAL
@@ -264,25 +223,22 @@ func Fig11ActiveCores() [4]int { return [4]int{1, 4, 8, 12} }
 
 // Fig11Utilization runs the utilization sensitivity study.
 func Fig11Utilization(workloads []Workload, rc RunConfig) ([]Fig11Row, error) {
-	counts := Fig11ActiveCores()
-	rows := make([]Fig11Row, 0, len(workloads))
-	for _, w := range workloads {
-		var row Fig11Row
-		row.Workload = w.Params.Name
-		for ci, n := range counts {
-			b, err := Run(Baseline().WithActiveCores(n), w, rc)
-			if err != nil {
-				return nil, err
-			}
-			c, err := Run(Coaxial4x().WithActiveCores(n), w, rc)
-			if err != nil {
-				return nil, err
-			}
-			row.Speedups[ci] = Speedup(c, b)
-		}
-		rows = append(rows, row)
+	return planOne(rc, func(p *Plan) func() ([]Fig11Row, error) { return p.Fig11Utilization(workloads) })
+}
+
+// Fig11Utilization declares the utilization study on p.
+func (p *Plan) Fig11Utilization(workloads []Workload) func() ([]Fig11Row, error) {
+	var cfgs []Config
+	for _, n := range Fig11ActiveCores() {
+		cfgs = append(cfgs, Baseline().WithActiveCores(n), Coaxial4x().WithActiveCores(n))
 	}
-	return rows, nil
+	return gridRows(p, cfgs, workloads, func(w Workload, res []Result) Fig11Row {
+		row := Fig11Row{Workload: w.Params.Name}
+		for ci := range row.Speedups {
+			row.Speedups[ci] = Speedup(res[2*ci+1], res[2*ci])
+		}
+		return row
+	})
 }
 
 // TableVRow is one Table V column (a system's power ledger and efficiency

@@ -134,8 +134,20 @@ type Channel struct {
 // address decode as for direct channels. cfg must come from a validated
 // sim.Config (IngressDepth and DDRChannels >= 1).
 func NewChannel(cfg ChannelConfig, systemSubChannels int) *Channel {
-	dev := NewPooledDevice(PooledDeviceConfig{DDR: cfg.DDR, DDRChannels: cfg.DDRChannels}, systemSubChannels)
-	return &Channel{Port: dev.AttachHost(cfg.Link, cfg.IngressDepth, 0)}
+	// One allocation holds the channel, its private device and its port
+	// (and, for one DDR channel, the device's channel list).
+	a := &struct {
+		Channel
+		dev   PooledDevice
+		port  Port
+		ports [1]*Port
+		ddr   [1]*dram.Channel
+	}{}
+	a.dev.ddr, a.dev.ports = a.ddr[:0], a.ports[:0]
+	a.dev.init(PooledDeviceConfig{DDR: cfg.DDR, DDRChannels: cfg.DDRChannels}, systemSubChannels)
+	a.dev.attach(&a.port, cfg.Link, cfg.IngressDepth, 0)
+	a.Port = &a.port
+	return &a.Channel
 }
 
 // Tick implements memreq.Backend: the host half (deliver due responses,

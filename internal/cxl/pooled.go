@@ -48,16 +48,10 @@ type PooledDevice struct {
 	ddr   []*dram.Channel
 	ports []*Port
 
-	// Per-host accounting over the measurement window, indexed by host ID
-	// (grown on attach). Reads/writes are counted as the device forwards
-	// them into a DDR controller; bytes at data transfer (response for
-	// reads, forward for writes).
-	hostReadBytes  []uint64
-	hostWriteBytes []uint64
-
 	// queueHist distributes device-side queuing delay (DDR controller
 	// arrival to first command) of completed reads, in cycles; the rack
-	// quotes its tails as the pooled-queue latency percentiles.
+	// quotes its tails as the pooled-queue latency percentiles. Nil on a
+	// Channel's private device, which nothing queries.
 	queueHist *stats.Histogram
 	// totalQueueCycles sums the same delays plus ingress-stall (retry)
 	// cycles across all hosts: the device's total queueing, the quantity
@@ -70,14 +64,18 @@ type PooledDevice struct {
 // by the sim and rack config validators) DDR channels. systemSubChannels
 // densifies the DDR address decode as for direct channels.
 func NewPooledDevice(cfg PooledDeviceConfig, systemSubChannels int) *PooledDevice {
-	d := &PooledDevice{
-		cfg:       cfg,
-		queueHist: stats.NewHistogram(6000, 4),
-	}
+	d := &PooledDevice{queueHist: stats.NewHistogram(6000, 4)}
+	d.init(cfg, systemSubChannels)
+	return d
+}
+
+// init builds the device's DDR channels in place; NewChannel embeds a
+// device without the rack's queueing histogram.
+func (d *PooledDevice) init(cfg PooledDeviceConfig, systemSubChannels int) {
+	d.cfg = cfg
 	for i := 0; i < cfg.DDRChannels; i++ {
 		d.ddr = append(d.ddr, dram.NewChannel(cfg.DDR, systemSubChannels))
 	}
-	return d
 }
 
 // Name returns the device's configured label.
@@ -90,7 +88,14 @@ func (d *PooledDevice) Name() string { return d.cfg.Name }
 // traffic for fairness accounting and validation walks. ingressDepth must
 // be >= 1 (sim.Config.Validate checks it for every CXL-attached host).
 func (d *PooledDevice) AttachHost(link LinkParams, ingressDepth, host int) *Port {
-	p := &Port{
+	p := &Port{}
+	d.attach(p, link, ingressDepth, host)
+	return p
+}
+
+// attach initializes p in place as the device's next port.
+func (d *PooledDevice) attach(p *Port, link LinkParams, ingressDepth, host int) {
+	*p = Port{
 		dev:          d,
 		host:         host,
 		ingressDepth: ingressDepth,
@@ -100,11 +105,6 @@ func (d *PooledDevice) AttachHost(link LinkParams, ingressDepth, host int) *Port
 		txReq:        link.txReqSerCycles(),
 	}
 	d.ports = append(d.ports, p)
-	for len(d.hostReadBytes) <= host {
-		d.hostReadBytes = append(d.hostReadBytes, 0)
-		d.hostWriteBytes = append(d.hostWriteBytes, 0)
-	}
-	return p
 }
 
 // Ports returns the attached ports in arbitration order.
@@ -188,16 +188,12 @@ func (d *PooledDevice) ResetCounters() {
 	}
 }
 
-// ResetStats zeroes the device-level queueing and fairness accounting at
-// the measurement boundary (the rack driver calls it alongside each host's
-// stats reset).
+// ResetStats zeroes the device-level queueing accounting at the
+// measurement boundary (the rack driver calls it alongside each host's
+// stats reset, which resets the ports' byte tallies behind HostBytes).
 func (d *PooledDevice) ResetStats() {
 	d.queueHist.Reset()
 	d.totalQueueCycles = 0
-	for i := range d.hostReadBytes {
-		d.hostReadBytes[i] = 0
-		d.hostWriteBytes[i] = 0
-	}
 }
 
 // TotalQueueCycles returns the device's accumulated queueing: DDR
@@ -210,12 +206,16 @@ func (d *PooledDevice) TotalQueueCycles() uint64 { return d.totalQueueCycles }
 func (d *PooledDevice) QueuePercentile(p float64) int64 { return d.queueHist.Percentile(p) }
 
 // HostBytes returns host h's bytes read from and written to this device
-// since the last ResetStats (the fairness accounting input).
+// since its ports' last ResetCounters (the fairness accounting input):
+// reads count at response, writes at commit.
 func (d *PooledDevice) HostBytes(h int) (read, write uint64) {
-	if h < 0 || h >= len(d.hostReadBytes) {
-		return 0, 0
+	for _, p := range d.ports {
+		if p.host == h {
+			read += p.readBytes
+			write += p.writeBytes
+		}
 	}
-	return d.hostReadBytes[h], d.hostWriteBytes[h]
+	return read, write
 }
 
 // PeakGBs returns the device's peak deliverable DDR bandwidth.
@@ -297,7 +297,7 @@ type Port struct {
 
 	stats Stats
 	// readBytes/writeBytes tally this port's data transfers for per-host
-	// counter attribution on shared devices.
+	// counter attribution and the device's HostBytes.
 	readBytes, writeBytes uint64
 	now                   int64 //lint:unit cycles
 }
@@ -339,7 +339,6 @@ func (p *Port) Complete(r *memreq.Request, now int64) {
 		// A write with no requester completer dies here — buffer it for
 		// the retired drain when collection is on.
 		p.writeBytes += memreq.LineSize
-		p.dev.hostWriteBytes[p.host] += memreq.LineSize
 		if r.Inner != nil {
 			r.Inner.Complete(r, now)
 		} else if p.collectRetired {
@@ -348,8 +347,7 @@ func (p *Port) Complete(r *memreq.Request, now int64) {
 		return
 	}
 	p.readBytes += memreq.LineSize
-	p.dev.hostReadBytes[p.host] += memreq.LineSize
-	if q := r.QueueDelay(); q >= 0 {
+	if q := r.QueueDelay(); q >= 0 && p.dev.queueHist != nil {
 		p.dev.queueHist.Add(q)
 		p.dev.totalQueueCycles += uint64(q)
 	}

@@ -57,7 +57,7 @@ func (e *runnerEngine) RunPoint(ctx context.Context, p Point, onProgress func(co
 		}
 		return out, err
 	}
-	res, err := r.RunMix(ctx, *p.Single, p.Workloads)
+	res, err := r.RunMix(ctx, p.Config, p.Workloads)
 	return PointOutcome{Result: res}, err
 }
 

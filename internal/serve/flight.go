@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"coaxial"
@@ -11,13 +13,17 @@ import (
 // flight key is executing, further requests for the same key attach as
 // waiters instead of starting a second simulation, and all waiters receive
 // the one result. Safe because a flight key fingerprints everything the
-// result depends on (Point.flightKey) and simulations are deterministic —
-// sharing is observationally identical to re-running.
+// result depends on (coaxial.SuiteJob.Key) and simulations are
+// deterministic — sharing is observationally identical to re-running,
+// once each waiter stamps its own config names back (Point.stamp).
 //
 // Cancellation is refcounted: the simulation runs under a context detached
 // from any one waiter, so an early canceler detaches without disturbing
 // the others; only the last waiter to leave cancels the simulation itself,
 // then waits for (and receives) the partial result the engine salvages.
+//
+// A panicking execution becomes that point's error, stack attached: every
+// waiter is released with it and the daemon keeps serving.
 type group struct {
 	mu    sync.Mutex
 	calls map[string]*call //lint:guardedby mu
@@ -27,6 +33,8 @@ type group struct {
 	// single-flight tests and /metrics read both.
 	started   int //lint:guardedby mu
 	coalesced int //lint:guardedby mu
+	// panics counts executions that panicked (/metrics).
+	panics int //lint:guardedby mu
 }
 
 // call is one in-flight point execution.
@@ -120,13 +128,26 @@ func (g *group) do(ctx context.Context, key string, onProgress func(coaxial.Prog
 
 // exec runs the flight body and publishes its outcome.
 func (g *group) exec(key string, c *call, ctx context.Context, run runFunc) {
-	out, err := run(ctx, c.broadcast)
+	out, err := g.runIsolated(ctx, c, run)
 	g.mu.Lock()
 	delete(g.calls, key)
 	c.out, c.err = out, err
 	g.mu.Unlock()
 	close(c.done)
 	c.cancel()
+}
+
+// runIsolated runs the flight body, turning a panic into its error.
+func (g *group) runIsolated(ctx context.Context, c *call, run runFunc) (out PointOutcome, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			out, err = PointOutcome{}, fmt.Errorf("serve: point panicked: %v\n%s", v, debug.Stack())
+			g.mu.Lock()
+			g.panics++
+			g.mu.Unlock()
+		}
+	}()
+	return run(ctx, c.broadcast)
 }
 
 // broadcast fans one progress observation out to the currently-attached
@@ -156,6 +177,13 @@ func (g *group) stats() (started, coalesced int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.started, g.coalesced
+}
+
+// panicked reports how many executions have panicked.
+func (g *group) panicked() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.panics
 }
 
 // inFlight reports how many distinct points are currently executing.

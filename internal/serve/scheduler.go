@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"coaxial"
 )
@@ -62,7 +63,15 @@ func (s *Server) runJob(j *job) {
 			return
 		}
 		p := j.points[i]
-		out, err := s.flights.do(j.ctx, p.flightKey(), s.progressSink(j, i, p.Label), s.runPointFunc(p))
+		var ran atomic.Bool
+		out, err := s.flights.do(j.ctx, p.Key(p.RC), s.progressSink(j, i, p.Label),
+			func(ctx context.Context, onProgress func(coaxial.Progress)) (PointOutcome, error) {
+				ran.Store(true)
+				return s.engine.RunPoint(ctx, p, onProgress)
+			})
+		if !ran.Load() {
+			out = p.stamp(out) // another point's flight answered
+		}
 		pr := PointResult{Index: i, Label: p.Label, Result: out.Result, Rack: out.Rack}
 		if err == nil {
 			s.store.notePoint(j, pr)
@@ -96,13 +105,6 @@ func (s *Server) progressSink(j *job, point int, label string) func(p coaxial.Pr
 			Retired: p.Retired,
 			Target:  p.Target,
 		})
-	}
-}
-
-// runPointFunc builds the flight body for one point.
-func (s *Server) runPointFunc(p Point) runFunc {
-	return func(ctx context.Context, onProgress func(coaxial.Progress)) (PointOutcome, error) {
-		return s.engine.RunPoint(ctx, p, onProgress)
 	}
 }
 

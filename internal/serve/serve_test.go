@@ -632,3 +632,141 @@ func TestServeSweepJob(t *testing.T) {
 		}
 	}
 }
+
+// panicEngine is a planted crash: its first point panics once released,
+// and every later point runs on the real Runner-backed engine.
+type panicEngine struct {
+	release chan struct{}
+	real    Engine
+
+	mu    sync.Mutex
+	calls int
+}
+
+func (e *panicEngine) RunPoint(ctx context.Context, p Point, onProgress func(coaxial.Progress)) (PointOutcome, error) {
+	e.mu.Lock()
+	e.calls++
+	first := e.calls == 1
+	e.mu.Unlock()
+	if first {
+		<-e.release
+		panic("planted engine fault")
+	}
+	return e.real.RunPoint(ctx, p, onProgress)
+}
+
+// TestServePointPanicIsolated: a panicking point fails every job
+// coalesced onto its flight with the panic and its stack, counts in
+// /metrics, and leaves the daemon serving. Runs under -race in CI.
+func TestServePointPanicIsolated(t *testing.T) {
+	eng := &panicEngine{release: make(chan struct{}), real: NewRunnerEngine(coaxial.NewRunner())}
+	s, ts := newTestServer(t, Options{Workers: 4, QueueDepth: 16, Engine: eng})
+
+	const k = 4
+	req := JobRequest{Kind: "run", Preset: "coaxial-4x", Workload: "gcc", ActiveCores: 1, Windows: testWindows()}
+	ids := make([]string, k)
+	for i := range ids {
+		sub, resp := postJob(t, ts, req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, resp.StatusCode)
+		}
+		ids[i] = sub.ID
+	}
+	waitFor(t, "all jobs coalesced onto one flight", func() bool {
+		started, coalesced := s.flights.stats()
+		return started == 1 && coalesced == k-1
+	})
+	close(eng.release)
+	for _, id := range ids {
+		js := waitTerminal(t, ts, id)
+		if js.State != StateFailed {
+			t.Fatalf("job %s ended %s, want failed", id, js.State)
+		}
+		if !strings.Contains(js.Error, "planted engine fault") || !strings.Contains(js.Error, "goroutine") {
+			t.Fatalf("job %s error lacks the panic and its stack:\n%s", id, js.Error)
+		}
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(body), "coaxial_serve_panics_total 1\n") {
+		t.Fatalf("metrics do not count the panic:\n%s", body)
+	}
+
+	sub, resp := postJob(t, ts, req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after panic: status %d", resp.StatusCode)
+	}
+	js := waitTerminal(t, ts, sub.ID)
+	if js.State != StateDone || js.Results[0].Result.Cycles == 0 {
+		t.Fatalf("job after panic ended %s (%s) with results %+v", js.State, js.Error, js.Results)
+	}
+}
+
+// namingEngine blocks until released, then labels results like the real
+// engine does: with the point's own config, rack and host names.
+type namingEngine struct{ release chan struct{} }
+
+func (e namingEngine) RunPoint(ctx context.Context, p Point, _ func(coaxial.Progress)) (PointOutcome, error) {
+	<-e.release
+	if p.Rack == nil {
+		return PointOutcome{Result: coaxial.Result{Config: p.Config.Name, Cycles: 100}}, nil
+	}
+	rr := coaxial.RackResult{Config: p.Rack.Name, Cycles: 100}
+	for _, h := range p.Rack.Hosts {
+		rr.Hosts = append(rr.Hosts, coaxial.Result{Config: h.Name, Cycles: 100})
+	}
+	return PointOutcome{Result: rr.Summary(), Rack: &rr}, nil
+}
+
+// TestServeCoalescedPointsKeepTheirNames: active_cores equal to the core
+// count renames the config but not the simulation, so such a point
+// shares the default point's flight; each job must still report its own
+// config (and, for racks, host) names.
+func TestServeCoalescedPointsKeepTheirNames(t *testing.T) {
+	for _, kind := range []string{"run", "rack"} {
+		t.Run(kind, func(t *testing.T) {
+			eng := namingEngine{release: make(chan struct{})}
+			s, ts := newTestServer(t, Options{Workers: 4, QueueDepth: 8, Engine: eng})
+			preset, hosts := "coaxial-4x", 0
+			if kind == "rack" {
+				preset, hosts = "coaxial-pooled", 2
+			}
+			var ids []string
+			for _, active := range []int{0, 12} {
+				sub, resp := postJob(t, ts, JobRequest{Kind: kind, Preset: preset, Workload: "gcc",
+					Hosts: hosts, ActiveCores: active, Windows: testWindows()})
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("submit: status %d", resp.StatusCode)
+				}
+				ids = append(ids, sub.ID)
+			}
+			waitFor(t, "both jobs on one flight", func() bool {
+				started, coalesced := s.flights.stats()
+				return started == 1 && coalesced == 1
+			})
+			close(eng.release)
+			for i, id := range ids {
+				js := waitTerminal(t, ts, id)
+				if js.State != StateDone {
+					t.Fatalf("job %s ended %s (%s)", id, js.State, js.Error)
+				}
+				host := preset
+				if i == 1 {
+					host += "@12c"
+				}
+				pr := js.Results[0]
+				if kind == "run" && pr.Result.Config != host {
+					t.Errorf("job %s: config %q, want %q", id, pr.Result.Config, host)
+				}
+				if kind == "rack" && (pr.Rack == nil || pr.Rack.Hosts[1].Config != host) {
+					t.Errorf("job %s: rack detail %+v, want hosts named %q", id, pr.Rack, host)
+				}
+			}
+		})
+	}
+}

@@ -285,6 +285,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "coaxial_serve_points_started_total %d\n", started)
 	fmt.Fprintf(w, "coaxial_serve_points_coalesced_total %d\n", coalesced)
 	fmt.Fprintf(w, "coaxial_serve_points_in_flight %d\n", s.flights.inFlight())
+	fmt.Fprintf(w, "coaxial_serve_panics_total %d\n", s.flights.panicked())
 	fmt.Fprintf(w, "coaxial_serve_queue_depth %d\n", len(s.queue))
 	fmt.Fprintf(w, "coaxial_serve_workers %d\n", s.workers)
 	if ws, ok := s.engine.(WarmStater); ok {

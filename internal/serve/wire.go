@@ -116,39 +116,43 @@ func DecodeJobRequest(r io.Reader) (JobRequest, error) {
 	return q, nil
 }
 
-// Point is one fully-resolved simulation: either a single-host config with
-// per-core workloads or a rack topology with per-host workload sets, plus
-// the run configuration. Identical points share one execution in flight
-// (flightKey) and one warm snapshot in the Runner cache.
+// Point is one fully-resolved simulation: a coaxial.SuiteJob (a
+// single-host config with per-core workloads, or a rack topology with
+// per-host workload sets) plus the run configuration. Points with equal
+// SuiteJob.Key share one execution in flight and one warm snapshot in the
+// Runner cache.
 type Point struct {
 	// Label names the point in results ("coaxial-4x/stream-copy", ...).
 	Label string
-
-	// Single is the host config of a single-host point (nil for racks).
-	Single    *coaxial.Config
-	Workloads []coaxial.Workload
-
-	// Rack is the topology of a multi-host point (nil for single hosts).
-	Rack          *coaxial.RackConfig
-	HostWorkloads [][]coaxial.Workload
-
+	coaxial.SuiteJob
 	RC coaxial.RunConfig
+
+	// Single is SuiteJob.Config for a single-host point and nil for a
+	// rack: the host config as earlier callers of Point read it.
+	Single *coaxial.Config
 }
 
-// flightKey fingerprints everything the point's Result depends on: the
-// full system/topology configuration, the workload assignment, and the run
-// configuration (with the progress observer stripped — observation never
-// changes measurements). It refines sim.WarmKey, which covers only the
-// warmup-relevant facets (geometry, seed, functional budget, topology):
-// two points with equal flight keys are the same simulation bit-for-bit,
-// so the in-flight single-flight group may collapse them.
-func (p Point) flightKey() string {
-	rc := p.RC
-	rc.OnProgress = nil
+// stamp labels an outcome another point's flight produced with this
+// point's own config names (the flight key ignores names). Waiters share
+// the outcome, so the rack detail is relabeled on a copy; a Result no
+// simulation wrote stays unlabeled.
+func (p Point) stamp(out PointOutcome) PointOutcome {
+	name := p.Config.Name
 	if p.Rack != nil {
-		return fmt.Sprintf("rack|%+v|%+v|%+v", *p.Rack, p.HostWorkloads, rc)
+		name = p.Rack.Name
+		if rr := out.Rack; rr != nil {
+			c := *rr
+			c.Config, c.Hosts = name, append([]coaxial.Result(nil), rr.Hosts...)
+			for h := range c.Hosts {
+				c.Hosts[h].Config = p.Rack.Hosts[h].Name
+			}
+			out.Rack = &c
+		}
 	}
-	return fmt.Sprintf("single|%+v|%+v|%+v", *p.Single, p.Workloads, rc)
+	if out.Result.Config != "" {
+		out.Result.Config = name
+	}
+	return out
 }
 
 // Points resolves and validates the request into its simulation points,
@@ -278,34 +282,31 @@ func (q JobRequest) runConfig() (coaxial.RunConfig, error) {
 
 // buildPoint assembles one resolved point from a scaled preset.
 func buildPoint(preset coaxial.TopologyPreset, w coaxial.Workload, rc coaxial.RunConfig) (Point, error) {
-	label := preset.Name + "/" + w.Params.Name
-	if cfg, ok := preset.Single(); ok {
-		active := cfg.ActiveCores
-		if active == 0 {
-			active = cfg.Cores
+	p := Point{Label: preset.Name + "/" + w.Params.Name, RC: rc}
+	onActive := func(c coaxial.Config) []coaxial.Workload { // w on every active core
+		n := c.ActiveCores
+		if n == 0 {
+			n = c.Cores
 		}
-		wl := make([]coaxial.Workload, active)
+		wl := make([]coaxial.Workload, n)
 		for i := range wl {
 			wl[i] = w
 		}
-		return Point{Label: label, Single: &cfg, Workloads: wl, RC: rc}, nil
+		return wl
+	}
+	if cfg, ok := preset.Single(); ok {
+		p.Config, p.Workloads, p.Single = cfg, onActive(cfg), &cfg
+		return p, nil
 	}
 	rack := preset.Rack
-	hw := make([][]coaxial.Workload, len(rack.Hosts))
-	for h, hc := range rack.Hosts {
-		active := hc.ActiveCores
-		if active == 0 {
-			active = hc.Cores
-		}
-		hw[h] = make([]coaxial.Workload, active)
-		for i := range hw[h] {
-			hw[h][i] = w
-		}
-	}
 	if err := rack.Validate(); err != nil {
 		return Point{}, badRequestf("%v", err)
 	}
-	return Point{Label: label, Rack: &rack, HostWorkloads: hw, RC: rc}, nil
+	p.Rack = &rack
+	for _, hc := range rack.Hosts {
+		p.HostWorkloads = append(p.HostWorkloads, onActive(hc))
+	}
+	return p, nil
 }
 
 // IsRequestError reports whether err is a client-side request defect.

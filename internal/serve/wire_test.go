@@ -131,9 +131,11 @@ func TestJobRequestPointsShapes(t *testing.T) {
 	}
 }
 
-// TestFlightKey pins single-flight keying: the key covers config, seed,
-// windows, and topology, and ignores the progress observer.
+// TestFlightKey pins single-flight keying on the shared point key
+// (coaxial.SuiteJob.Key): it covers config, seed, windows, and topology,
+// and ignores the progress observer.
 func TestFlightKey(t *testing.T) {
+	key := func(p Point) string { return p.Key(p.RC) }
 	mk := func(mut func(*JobRequest)) Point {
 		req := JobRequest{Kind: "run", Preset: "coaxial-4x", Workload: "gcc",
 			Windows: &Windows{Measure: 1000}}
@@ -147,7 +149,7 @@ func TestFlightKey(t *testing.T) {
 		return pts[0]
 	}
 	base := mk(nil)
-	if base.flightKey() != mk(nil).flightKey() {
+	if key(base) != key(mk(nil)) {
 		t.Fatal("identical requests produced different flight keys")
 	}
 	for name, mut := range map[string]func(*JobRequest){
@@ -158,14 +160,14 @@ func TestFlightKey(t *testing.T) {
 		"cores":    func(q *JobRequest) { q.ActiveCores = 2 },
 		"clocking": func(q *JobRequest) { q.Clocking = "cycle" },
 	} {
-		if mk(mut).flightKey() == base.flightKey() {
+		if key(mk(mut)) == key(base) {
 			t.Errorf("%s change did not change the flight key", name)
 		}
 	}
 	// Observation never changes identity: same key with an observer bound.
 	observed := mk(nil)
 	observed.RC.OnProgress = func(coaxial.Progress) {}
-	if observed.flightKey() != base.flightKey() {
+	if key(observed) != key(base) {
 		t.Fatal("progress observer leaked into the flight key")
 	}
 }
@@ -200,7 +202,7 @@ func FuzzDecodeJobRequest(f *testing.F) {
 			if (p.Single == nil) == (p.Rack == nil) {
 				t.Fatalf("point is neither single nor rack: %+v", p)
 			}
-			if p.flightKey() == "" {
+			if p.Key(p.RC) == "" {
 				t.Fatal("empty flight key")
 			}
 		}

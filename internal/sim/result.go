@@ -66,7 +66,7 @@ type RunConfig struct {
 	// callback must not mutate simulator state, and measurements are
 	// bit-identical with or without it. It is invoked synchronously from
 	// the simulation goroutine, so it should return quickly. Excluded from
-	// warm keys and configuration fingerprints (see serve.flightKey).
+	// warm keys and point keys (see coaxial.SuiteJob.Key).
 	OnProgress func(Progress)
 }
 

@@ -176,15 +176,7 @@ func (r *Runner) WarmStats() WarmStats {
 // Run executes one experiment: cfg's system running the same workload on
 // every active core (the paper's rate mode).
 func (r *Runner) Run(ctx context.Context, cfg Config, w Workload) (Result, error) {
-	active := cfg.ActiveCores
-	if active == 0 {
-		active = cfg.Cores
-	}
-	wl := make([]Workload, active)
-	for i := range wl {
-		wl[i] = w
-	}
-	res, err := r.RunMix(ctx, cfg, wl)
+	res, err := r.RunMix(ctx, cfg, SuiteJob{Config: cfg, Workload: w}.perCore())
 	res.Workload = w.Params.Name
 	return res, err
 }
@@ -306,6 +298,9 @@ func (j SuiteJob) label() string {
 	if j.Rack != nil {
 		return fmt.Sprintf("rack %s/%d hosts", j.Rack.Name, len(j.Rack.Hosts))
 	}
+	if len(j.Workloads) > 0 {
+		return fmt.Sprintf("%s/%d-core mix", j.Config.Name, len(j.Workloads))
+	}
 	return j.Config.Name + "/" + j.Workload.Params.Name
 }
 
@@ -315,7 +310,7 @@ func (r *Runner) runJob(ctx context.Context, j SuiteJob) (Result, error) {
 		rr, err := r.RunRack(ctx, *j.Rack, j.HostWorkloads)
 		return rr.Summary(), err
 	}
-	return r.Run(ctx, j.Config, j.Workload)
+	return r.RunMix(ctx, j.Config, j.perCore())
 }
 
 // runSuite is the shared fan-out under both suite entry points.
